@@ -176,9 +176,9 @@ func WithCheckpointDir(dir string) Option {
 }
 
 // WithoutTranslation forces every graft onto the interpreting VM
-// engine. By default the loader compiles verified images to native Go
-// closures at install time (the sandbox checks are inlined into the
-// closure bodies and still trap identically); the interpreter remains
+// engine. By default the loader compiles verified images to pre-decoded
+// basic blocks at install time (the sandbox checks are inlined into the
+// blocks and still trap identically); the interpreter remains
 // the deterministic oracle, and this option selects it outright —
 // useful for differential debugging and oracle-vs-translated A/B runs.
 // Same seeds produce byte-identical traces either way.
@@ -278,8 +278,8 @@ func DefaultCompartmentLayout(segSize int) *CompartmentLayout { return sfi.Defau
 // damage SFI would have prevented.
 type GraftVM = sfi.VM
 
-// TranslatedProgram is a verified graft image compiled to native Go
-// closures (the install-time translation engine). Programs are image
+// TranslatedProgram is a verified graft image compiled to pre-decoded
+// basic blocks (the install-time translation engine). Programs are image
 // constants: one program serves every VM of the same image bytes.
 type TranslatedProgram = sfi.Program
 

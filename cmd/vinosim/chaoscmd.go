@@ -88,7 +88,7 @@ func (c *chaosFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.varyInstalls, "varyinstalls", false, "randomize graft install options (watchdogs, transfers, handler order) from the seed")
 	fs.BoolVar(&c.redteam, "redteam", false, "arm the red-team phase (SFI escape corpus + in-kernel compartment-violation probe)")
 	c.translate = true
-	fs.Var(&c.translate, "translate", "run verified grafts on the translated closure engine (off = interpret; reports are byte-identical either way)")
+	fs.Var(&c.translate, "translate", "run verified grafts on the translated block engine (off = interpret; reports are byte-identical either way)")
 	fs.BoolVar(&showTrace, "trace", false, "dump the kernel flight recorder after the run")
 }
 

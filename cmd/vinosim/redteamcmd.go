@@ -22,7 +22,7 @@ func cmdRedTeam(args []string) int {
 	workers := fs.Int("workers", 1, "worker-pool size (wall-clock only; the report is identical at any value)")
 	report := fs.String("report", "", "also write the summary to this file (for CI determinism cmp)")
 	translate := onOffFlag(true)
-	fs.Var(&translate, "translate", "run contained cases on the translated closure engine (off = interpret; the report is byte-identical either way)")
+	fs.Var(&translate, "translate", "run contained cases on the translated block engine (off = interpret; the report is byte-identical either way)")
 	fs.Parse(args)
 
 	res := vino.RunRedTeam(vino.RedTeamConfig{Seed: *seed, Workers: *workers, Translate: bool(translate)})

@@ -57,7 +57,7 @@ type Registry struct {
 	// Costs overrides the VM cycle model (nil = sfi.DefaultCosts).
 	Costs *sfi.Costs
 	// NoTranslate disables install-time translation of verified images
-	// to native Go closures, forcing every graft onto the interpreter
+	// to pre-decoded basic blocks, forcing every graft onto the interpreter
 	// oracle. Translation is on by default: it is observably identical
 	// (same traps, same cycle accounting, same trace events) and only
 	// host wall-clock differs. Unsafe images always interpret — the
@@ -371,8 +371,8 @@ func (r *Registry) link(g *Installed) error {
 			return res, nil
 		}
 	}
-	// Install-time translation: verified images are compiled to native
-	// Go closures once per distinct image and shared across installs.
+	// Install-time translation: verified images are compiled to basic
+	// blocks once per distinct image and shared across installs.
 	// The interpreter remains the oracle (-translate=off / NoTranslate).
 	var prog *sfi.Program
 	if img.Safe && !r.NoTranslate {

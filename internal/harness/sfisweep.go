@@ -9,7 +9,7 @@ package harness
 // of it the region-aware optimizer claws back.
 //
 // Each variant is additionally timed in host nanoseconds on both VM
-// engines — the interpreter and the install-time translated closures.
+// engines — the interpreter and the install-time translated blocks.
 // Executed cycles are asserted identical across engines (translation
 // must not change the accounting); host time is where translation pays.
 // Wall-clock numbers never enter String(), so goldens stay
@@ -71,11 +71,15 @@ type SFISweepPoint struct {
 	Checks int `json:"checks"`
 	// Code is the image length in instructions.
 	Code int `json:"code"`
-	// Fusions is how many multi-instruction closures the translator
-	// certified for this image.
+	// Fusions is how many fused check+access micro-operations the
+	// translated blocks contain.
 	Fusions int `json:"fusions"`
+	// Blocks is how many blocks the translator cut the image into; each
+	// pays one cycle-budget check per execution instead of one per
+	// instruction.
+	Blocks int `json:"blocks"`
 	// InterpNS and TransNS are host nanoseconds per checked access on
-	// the interpreter and on the translated closure engine (best of
+	// the interpreter and on the translated block engine (best of
 	// several reps). Wall-clock: kept out of String().
 	InterpNS float64 `json:"interp_ns_per_access"`
 	TransNS  float64 `json:"trans_ns_per_access"`
@@ -131,14 +135,14 @@ func (r *SFISweepResult) Overhead() (interpNS, transNS float64, gateOK bool) {
 // by nature — never part of a golden.
 func (r *SFISweepResult) HostSummary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "SFI host time per access: interpreter vs translated closures (%d iterations)\n", r.Iters)
-	fmt.Fprintf(&b, "  %-24s %14s %14s %9s %8s\n", "variant", "interp ns/acc", "trans ns/acc", "speedup", "fusions")
+	fmt.Fprintf(&b, "SFI host time per access: interpreter vs translated blocks (%d iterations)\n", r.Iters)
+	fmt.Fprintf(&b, "  %-24s %14s %14s %9s %8s %7s\n", "variant", "interp ns/acc", "trans ns/acc", "speedup", "fusions", "blocks")
 	for _, p := range r.Points {
 		speed := "-"
 		if p.TransNS > 0 {
 			speed = fmt.Sprintf("%.2fx", p.InterpNS/p.TransNS)
 		}
-		fmt.Fprintf(&b, "  %-24s %14.1f %14.1f %9s %8d\n", p.Variant, p.InterpNS, p.TransNS, speed, p.Fusions)
+		fmt.Fprintf(&b, "  %-24s %14.1f %14.1f %9s %8d %7d\n", p.Variant, p.InterpNS, p.TransNS, speed, p.Fusions, p.Blocks)
 	}
 	oi, ot, ok := r.Overhead()
 	fmt.Fprintf(&b, "  compartment check overhead vs unsafe: interpreted %.1f ns/access, translated %.1f ns/access", oi, ot)
@@ -226,6 +230,7 @@ func SFIOverheadSweep(iters int) (*SFISweepResult, error) {
 			Checks:    countChecks(img),
 			Code:      len(img.Code),
 			Fusions:   prog.Fusions(),
+			Blocks:    prog.Blocks(),
 			InterpNS:  interpNS,
 			TransNS:   transNS,
 		})

@@ -52,8 +52,8 @@ type Config struct {
 	// VMCosts overrides the graft VM cycle model.
 	VMCosts *sfi.Costs
 	// NoTranslate forces every graft onto the interpreting VM engine.
-	// By default verified images are compiled to native Go closures at
-	// install time — observably identical (same traps, same virtual-time
+	// By default verified images are compiled to pre-decoded basic blocks
+	// at install time — observably identical (same traps, same virtual-time
 	// cycle accounting, same traces), only host wall-clock differs.
 	NoTranslate bool
 	// TraceDepth sizes the kernel flight recorder (default 256 events).

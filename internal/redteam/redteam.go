@@ -384,7 +384,7 @@ main:
 			Exploit: func(vm *sfi.VM) error {
 				// The "cache" holds the benign image's program. The attack
 				// reinstalls different code under the same image name and
-				// tries to run it on those closures — if the loader pairs
+				// tries to run it on those blocks — if the loader pairs
 				// them, the evil image executes code compiled from the
 				// benign one and every check placement certified for it is
 				// a lie.
@@ -470,7 +470,7 @@ type Config struct {
 	// Workers bounds concurrency (default 1). Wall-clock only: the
 	// report is byte-identical at any value.
 	Workers int
-	// Translate runs contained cases on the translated closure engine
+	// Translate runs contained cases on the translated block engine
 	// instead of the interpreter. Reports are byte-identical either way
 	// — the translated checks must trap with the exact same errors —
 	// so CI can cmp reports across engines.

@@ -4,9 +4,15 @@ package sfi
 // oracle for the translated engine. ExecDiff runs one image on both
 // engines under identical configuration and inputs and reports the
 // first observable divergence — result value, trap, register file,
-// memory image, step/cycle accounting, hook flush schedule, or grant
-// audit counters. The redteam corpus, the fuzzer (FuzzTranslateDiff)
+// memory image, step/cycle accounting, hook flush schedule, grant audit
+// counters, or the VM state a kernel callable or the preemption hook
+// observes mid-run. The redteam corpus, the fuzzer (FuzzTranslateDiff)
 // and the graft install tests all drive this one comparator.
+//
+// The mid-run observations matter because the translated engine
+// charges a whole block at once: its counters are only allowed to agree
+// with the interpreter's at the instants something outside the VM can
+// look — a flush, a kernel call, a trap, the return.
 
 import (
 	"bytes"
@@ -24,9 +30,27 @@ type engineRun struct {
 	cycles   int64
 	heap     []byte
 	kmem     []byte
-	flushes  []int64
+	flushes  []observation
+	kcalls   []observation
 	audits   []GrantAudit
 	grants   int
+}
+
+// observation is the VM state at one instant an outsider sees it: a
+// hook flush (n = cycles flushed) or a kernel call (n = symbol index).
+type observation struct {
+	n      int64
+	steps  int64
+	cycles int64
+	regs   [NumRegs]int64
+}
+
+func observe(vm *VM, n int64) observation {
+	o := observation{n: n, steps: vm.Steps(), cycles: vm.TotalCycles()}
+	for i := range o.regs {
+		o.regs[i] = vm.Reg(i)
+	}
+	return o
 }
 
 func runEngine(img *Image, cfg Config, prep func(*VM) error, entry string, args []int64, translate bool) engineRun {
@@ -34,11 +58,22 @@ func runEngine(img *Image, cfg Config, prep func(*VM) error, entry string, args 
 	c := cfg
 	c.Translate = translate
 	c.Program = nil
+	var vm *VM
 	userHook := cfg.Hook
 	c.Hook = func(n int64) {
-		out.flushes = append(out.flushes, n)
+		out.flushes = append(out.flushes, observe(vm, n))
 		if userHook != nil {
 			userHook(n)
+		}
+	}
+	c.Kernel = make(map[string]KernelFunc, len(cfg.Kernel))
+	for i, sym := range img.Symbols {
+		if fn, ok := cfg.Kernel[sym]; ok {
+			idx := int64(i)
+			c.Kernel[sym] = func(vm *VM, args [5]int64) (int64, error) {
+				out.kcalls = append(out.kcalls, observe(vm, idx))
+				return fn(vm, args)
+			}
 		}
 	}
 	vm, err := NewVM(img, c)
@@ -115,13 +150,11 @@ func ExecDiff(img *Image, cfg Config, prep func(*VM) error, entry string, args .
 	if !bytes.Equal(oracle.kmem, trans.kmem) {
 		return fmt.Errorf("sfi: diff: kernel memory differs (first at %d)", firstDiff(oracle.kmem, trans.kmem))
 	}
-	if len(oracle.flushes) != len(trans.flushes) {
-		return fmt.Errorf("sfi: diff: hook flush count: interpreter=%d translated=%d", len(oracle.flushes), len(trans.flushes))
+	if err := diffObservations("hook flush", oracle.flushes, trans.flushes); err != nil {
+		return err
 	}
-	for i := range oracle.flushes {
-		if oracle.flushes[i] != trans.flushes[i] {
-			return fmt.Errorf("sfi: diff: hook flush #%d: interpreter=%d translated=%d", i, oracle.flushes[i], trans.flushes[i])
-		}
+	if err := diffObservations("kernel call", oracle.kcalls, trans.kcalls); err != nil {
+		return err
 	}
 	if len(oracle.audits) != len(trans.audits) {
 		return fmt.Errorf("sfi: diff: grant audits: interpreter=%v translated=%v", oracle.audits, trans.audits)
@@ -133,6 +166,18 @@ func ExecDiff(img *Image, cfg Config, prep func(*VM) error, entry string, args .
 	}
 	if oracle.grants != trans.grants {
 		return fmt.Errorf("sfi: diff: live grants: interpreter=%d translated=%d", oracle.grants, trans.grants)
+	}
+	return nil
+}
+
+func diffObservations(what string, oracle, trans []observation) error {
+	if len(oracle) != len(trans) {
+		return fmt.Errorf("sfi: diff: %s count: interpreter=%d translated=%d", what, len(oracle), len(trans))
+	}
+	for i := range oracle {
+		if oracle[i] != trans[i] {
+			return fmt.Errorf("sfi: diff: %s #%d: interpreter=%+v translated=%+v", what, i, oracle[i], trans[i])
+		}
 	}
 	return nil
 }

@@ -197,17 +197,21 @@ main:
 // templates chosen to stress every translator path: ALU traffic, div and
 // mod (zero divisors included), heap loads/stores at in-range and
 // out-of-range offsets, byte-width accesses, push/pop (balanced and
-// underflowing), wild-pointer stores, forward branches, and kernel
-// calls. Every program ends in ret, so termination is bounded by the
-// branch structure or the cycle cap.
+// underflowing), wild-pointer stores, forward branches, kernel calls,
+// and the shapes that cut and join blocks — counted loops, loops closed
+// by an unconditional jump, jumps over dead code, calls into
+// subroutines, runaway self-loops that only the cycle cap stops, and a
+// call in the program's last slot.
+// Loop counters live in r8/r9, which no other template writes, so every
+// loop but the runaway terminates.
 func genTranslateFuzzSrc(data []byte) string {
 	if len(data) > 512 { // bound program size: keep per-exec cost flat
 		data = data[:512]
 	}
-	var b strings.Builder
+	var b, subs strings.Builder
 	b.WriteString(".name fdiff\n.import test.mix\n.func main\nmain:\n")
 	b.WriteString("    movi r1, 9\n    movi r2, 5\n    movi r3, 3\n")
-	i := 0
+	i, labels, tail := 0, 0, false
 	arg := func() int {
 		if i >= len(data) {
 			return 0
@@ -217,56 +221,107 @@ func genTranslateFuzzSrc(data []byte) string {
 		return v
 	}
 	reg := func() int { return 1 + arg()%7 } // r1..r7: keep r10/r11/sp intact
+	label := func() string { labels++; return fmt.Sprintf("l%d", labels) }
 	alu := []string{"add", "sub", "mul", "and", "or", "xor", "shl", "shr"}
-	for i < len(data) {
-		switch arg() % 12 {
+	// straight emits one template without loops or subroutines.
+	straight := func(w *strings.Builder, kind int) {
+		switch kind {
 		case 0:
-			fmt.Fprintf(&b, "    movi r%d, %d\n", reg(), arg()-128)
+			fmt.Fprintf(w, "    movi r%d, %d\n", reg(), arg()-128)
 		case 1:
-			fmt.Fprintf(&b, "    addi r%d, r%d, %d\n", reg(), reg(), arg()-128)
+			fmt.Fprintf(w, "    addi r%d, r%d, %d\n", reg(), reg(), arg()-128)
 		case 2:
-			fmt.Fprintf(&b, "    %s r%d, r%d, r%d\n", alu[arg()%len(alu)], reg(), reg(), reg())
+			fmt.Fprintf(w, "    %s r%d, r%d, r%d\n", alu[arg()%len(alu)], reg(), reg(), reg())
 		case 3:
-			fmt.Fprintf(&b, "    div r%d, r%d, r%d\n", reg(), reg(), reg())
+			fmt.Fprintf(w, "    div r%d, r%d, r%d\n", reg(), reg(), reg())
 		case 4:
-			fmt.Fprintf(&b, "    mod r%d, r%d, r%d\n", reg(), reg(), reg())
+			fmt.Fprintf(w, "    mod r%d, r%d, r%d\n", reg(), reg(), reg())
 		case 5: // heap store+load; offsets up to ~24k cross region bounds
 			r := reg()
 			off := arg() * 97
-			fmt.Fprintf(&b, "    addi r%d, r10, %d\n    st [r%d+0], r%d\n    ld r%d, [r%d+0]\n", r, off, r, reg(), reg(), r)
+			fmt.Fprintf(w, "    addi r%d, r10, %d\n    st [r%d+0], r%d\n    ld r%d, [r%d+0]\n", r, off, r, reg(), reg(), r)
 		case 6: // byte-width traffic
 			r := reg()
-			fmt.Fprintf(&b, "    addi r%d, r10, %d\n    stb [r%d+0], r%d\n    ldb r%d, [r%d+0]\n", r, arg()%4096, r, reg(), reg(), r)
+			fmt.Fprintf(w, "    addi r%d, r10, %d\n    stb [r%d+0], r%d\n    ldb r%d, [r%d+0]\n", r, arg()%4096, r, reg(), reg(), r)
 		case 7: // balanced push/pop
 			r := reg()
-			fmt.Fprintf(&b, "    push r%d\n    pop r%d\n", r, reg())
+			fmt.Fprintf(w, "    push r%d\n    pop r%d\n", r, reg())
 		case 8: // lone pop: may underflow the shadow/stack — trap parity
-			fmt.Fprintf(&b, "    pop r%d\n", reg())
+			fmt.Fprintf(w, "    pop r%d\n", reg())
 		case 9: // wild-pointer store: whatever the register holds
-			fmt.Fprintf(&b, "    st [r%d+0], r%d\n", reg(), reg())
+			fmt.Fprintf(w, "    st [r%d+0], r%d\n", reg(), reg())
 		case 10:
-			fmt.Fprintf(&b, "    jz r%d, end\n", reg())
+			fmt.Fprintf(w, "    jz r%d, end\n", reg())
 		case 11:
-			fmt.Fprintf(&b, "    movi r1, %d\n    movi r2, %d\n    callk test.mix\n", arg()%64, arg()%64)
+			fmt.Fprintf(w, "    movi r1, %d\n    movi r2, %d\n    callk test.mix\n", arg()%64, arg()%64)
+		}
+	}
+	for i < len(data) {
+		switch kind := arg() % 16; kind {
+		case 12: // counted loop closed by a conditional branch
+			top := label()
+			fmt.Fprintf(&b, "    movi r8, %d\n%s:\n", 1+arg()%6, top)
+			straight(&b, arg()%12)
+			fmt.Fprintf(&b, "    addi r8, r8, -1\n    jnz r8, %s\n", top)
+		case 13: // loop closed by an unconditional jump: a superblock
+			top, out := label(), label()
+			fmt.Fprintf(&b, "    movi r9, %d\n%s:\n    jz r9, %s\n", 1+arg()%6, top, out)
+			straight(&b, arg()%12)
+			fmt.Fprintf(&b, "    addi r9, r9, -1\n    jmp %s\n%s:\n", top, out)
+		case 14: // jump over dead code, or into a subroutine
+			l := label()
+			if arg()%2 == 0 {
+				fmt.Fprintf(&b, "    jmp %s\n    movi r%d, 77\n%s:\n", l, reg(), l)
+				break
+			}
+			fmt.Fprintf(&b, "    call %s\n", l)
+			fmt.Fprintf(&subs, "%s:\n", l)
+			straight(&subs, arg()%12)
+			subs.WriteString("    ret\n")
+		case 15: // rarely, a runaway self-loop or a jump to the tail call
+			switch arg() % 8 {
+			case 0: // only the cycle cap ends it
+				l := label()
+				fmt.Fprintf(&b, "%s:\n    jmp %s\n", l, l)
+			case 1:
+				b.WriteString("    jmp tail\n")
+				tail = true
+			}
+		default:
+			straight(&b, kind)
 		}
 	}
 	b.WriteString("end:\n    ret\n")
+	b.WriteString(subs.String())
+	if tail {
+		// The program's last instruction is a call, whose return
+		// address lies past the code.
+		b.WriteString("tail:\n    call end\n")
+	}
 	return b.String()
 }
 
 // FuzzTranslateDiff is the differential fuzz target for the install-time
 // translator: every generated program, under every toolchain pipeline,
 // must behave bit-identically on the interpreter and the translated
-// closure engine — result, trap, all registers, heap bytes, kernel
-// memory, cycle accounting, hook-flush schedule, and grant audits. Any
-// divergence ExecDiff can see is a translator bug. CI runs this briefly
+// block engine — result, trap, all registers, heap bytes, kernel
+// memory, cycle accounting, hook-flush schedule, the state every kernel
+// call and flush observes, and grant audits. Any divergence ExecDiff
+// can see is a translator bug. hook picks the flush interval, so blocks
+// meet the budget boundary at every offset. CI runs this briefly
 // (-fuzz FuzzTranslateDiff -fuzztime 30s).
 func FuzzTranslateDiff(f *testing.F) {
-	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
-	f.Add([]byte{0, 10, 1, 2, 3, 4, 5, 200, 7, 9, 11, 3}, uint8(3), uint8(0), uint8(0))
-	f.Add([]byte{5, 255, 1, 9, 2, 2, 8, 4}, uint8(4), uint8(0), uint8(1))
-	f.Add([]byte{3, 0, 0, 0, 10, 1, 11, 9, 9}, uint8(1), uint8(2), uint8(0))
-	f.Add([]byte{7, 1, 8, 2, 5, 3, 6, 4, 0, 5, 2, 6}, uint8(2), uint8(30), uint8(1))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 10, 1, 2, 3, 4, 5, 200, 7, 9, 11, 3}, uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{5, 255, 1, 9, 2, 2, 8, 4}, uint8(4), uint8(0), uint8(1), uint8(0))
+	f.Add([]byte{3, 0, 0, 0, 10, 1, 11, 9, 9}, uint8(1), uint8(2), uint8(0), uint8(0))
+	f.Add([]byte{7, 1, 8, 2, 5, 3, 6, 4, 0, 5, 2, 6}, uint8(2), uint8(30), uint8(1), uint8(0))
+	f.Add([]byte{12, 3, 5, 1, 9, 13, 4, 2, 7, 8, 14, 1, 6, 3, 2, 4}, uint8(3), uint8(0), uint8(0), uint8(125))
+	f.Add([]byte{13, 5, 7, 2, 3, 14, 0, 2, 3, 1, 12, 2, 11, 5, 6}, uint8(4), uint8(0), uint8(1), uint8(3))
+	f.Add([]byte{14, 1, 5, 40, 2, 4, 13, 2, 3, 3, 1, 9}, uint8(1), uint8(0), uint8(0), uint8(60))
+	f.Add([]byte{1, 2, 3, 4, 15, 0, 12, 4, 2, 1, 2, 3}, uint8(0), uint8(200), uint8(0), uint8(9))
+	f.Add([]byte{15, 1, 7, 3, 4}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 5, 15, 1, 14, 1, 2, 3, 4, 5, 6}, uint8(1), uint8(0), uint8(0), uint8(2))
 	builders := map[uint8]func(string, *Signer) (*Image, RewriteStats, error){
 		1: BuildSafe,
 		2: BuildSafeOptimized,
@@ -274,7 +329,7 @@ func FuzzTranslateDiff(f *testing.F) {
 		4: BuildCompartmentedOptimized,
 	}
 	signer := NewSigner([]byte("fuzz-diff"))
-	f.Fuzz(func(t *testing.T, data []byte, pipeline, cycles, grant uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, pipeline, cycles, grant, hook uint8) {
 		src := genTranslateFuzzSrc(data)
 		var img *Image
 		var err error
@@ -287,10 +342,13 @@ func FuzzTranslateDiff(f *testing.F) {
 			t.Skip() // the generator emitted something a pipeline refuses
 		}
 		cfg := Config{Kernel: mixKernel(), HookEvery: 32, Hook: func(int64) {}}
+		if hook > 0 {
+			cfg.HookEvery = int64(hook) * 16
+		}
 		if cycles > 0 {
 			cfg.MaxCycles = int64(cycles)*50 + 100 // small caps: fuel-trap parity
 		} else {
-			cfg.MaxCycles = 1 << 20
+			cfg.MaxCycles = 1 << 16 // ends a runaway loop within a few ms
 		}
 		var prep func(*VM) error
 		if grant&1 == 1 && img.Layout != nil {

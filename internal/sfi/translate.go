@@ -1,46 +1,57 @@
 package sfi
 
-// Install-time translation of verified images to native Go closures.
+// Install-time translation of verified images to basic-block programs.
 //
 // The interpreter in vm.go pays a fetch/decode/dispatch tax on every
-// GIR instruction and walks the region table on every compartment
-// check. This file removes that tax the way the Endokernel enforces
-// isolation — at translation time, not per step: Translate compiles an
-// image into a Program, a chain of Go closures (one per basic-block
-// run of instructions) with the flat SANDBOX mask, the compartmented
-// CHKR/CHKW/CHKS region+grant checks, and the call-table probe inlined
-// into the closure bodies. Checks still *trap* (never clamp), with
-// byte-identical error values; the interpreter remains the
-// deterministic oracle and diff.go executes both engines on demand.
+// GIR instruction, re-derives the instruction's cycle cost, tests the
+// preemption threshold and the fuel limit, and walks the region table on
+// every compartment check. This file removes that tax the way the
+// Endokernel enforces isolation — at translation time, not per step:
+// Translate cuts a verified image into blocks of straight-line code,
+// pre-decodes each block into a compact list of micro-operations, and
+// inlines the flat SANDBOX mask, the compartmented CHKR/CHKW/CHKS
+// region+grant checks and the call-table probe into them. Checks still
+// *trap* (never clamp), with byte-identical error values; the
+// interpreter remains the deterministic oracle, and diff.go executes
+// both engines on demand.
+//
+// Blocks. A block starts at a head — an entry point, call target,
+// branch target, return address, or the fall-through successor of
+// another block — and follows straight-line execution through
+// unconditional jumps (a superblock: a JMP inside a block costs its
+// cycles but emits no code). It ends after a conditional branch, a
+// call, a kernel call, a return or a halt, at the end of the code, or
+// after maxBlock instructions. A self-loop such as `spin: jmp spin`
+// therefore unrolls into one block of maxBlock jumps.
+//
+// One cycle-budget check per block. Each VM knows every block's cycle
+// cost under its own cost model. On entry the run loop asks whether the
+// whole block fits before the next preemption-hook flush and under the
+// fuel limit; if so it charges the block's steps and cycles at once and
+// runs the body with no per-instruction accounting. If not, it
+// interprets single instructions until the next head, so the flush
+// fires — and MaxCycles trips — at exactly the interpreter's
+// instruction.
 //
 // Equivalence contract (what "byte-identical" means here):
 //
-//   - every instruction still bumps VM.Steps and charges its exact
-//     cycle cost in program order, so the preemption hook fires at the
-//     same flush boundaries, watchdogs and MaxCycles trip at the same
-//     instant, and virtual-time traces are unchanged;
+//   - steps, cycles, the hook-flush schedule and every trap instant are
+//     the interpreter's: a block that fits sees no flush and no fuel
+//     trip inside it, a kernel call always ends its block (so the callee
+//     observes exact counters and the flush before the call is the
+//     interpreter's), and a trap inside a block refunds the steps and
+//     cycles of the instructions after the trapping one;
 //   - every trap constructs the same error value (same type, same PC,
 //     same rendered instruction, same detail string) the interpreter
 //     would have returned;
 //   - call-table probe statistics, grant-audit counters and all other
 //     observable VM state evolve identically.
 //
-// Wall-clock speed comes from three translation-time facts the
-// interpreter re-derives per step: the opcode (closures are
-// specialized, no switch), the region table (per-check permission
-// spans are precomputed, so the hot path is two compares instead of a
-// table walk), and the rewriter's instruction patterns (a verified
-// check+access sequence fuses into one closure with the bounds check
-// inlined against the access it certifies).
-//
-// Fusion soundness: a fused closure executes the exact sequential
-// semantics of its instructions, so it is an equivalence-preserving
-// superinstruction for ANY image. The only requirement is that control
-// flow cannot enter the middle of the sequence, which the translator
-// proves structurally with landingPoints — the same analysis the
-// verifier and the static-discharge optimizer trust. Interior PCs keep
-// their singleton closures, so even a hand-written image that defeats
-// the pattern matcher merely runs unfused, never incorrectly.
+// Fusion soundness: a fused micro-operation executes the exact
+// sequential semantics of its instructions — address formation, check,
+// access — so it is an equivalence-preserving superinstruction for any
+// image. Control flow can only enter a block at its head, so no jump
+// lands between a fused check and its access.
 
 import (
 	"crypto/sha256"
@@ -48,15 +59,21 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sort"
 )
 
-// errDone signals a clean return from the entry frame (RET with an
-// empty shadow stack, or HALT). It never escapes Program.run.
-var errDone = errors.New("sfi: program done")
+// maxBlock bounds a block's length in instructions. Longer blocks
+// amortise the budget check further, but a block that would cross a
+// hook flush runs on the interpreter, so the interpreted share near
+// each flush grows with the block. 64 is the best of the caps measured
+// (32, 64, 128) on the chaos-crash benchmark workload, whose host time
+// is mostly runaway self-loops; see EXPERIMENTS.md, "Block translation".
+const maxBlock = 64
 
-// stepFn executes one translated step (a single instruction or a fused
-// run) against a VM and returns the next pc.
-type stepFn func(vm *VM) (int, error)
+// regMask confines register indices to the register file. Translated
+// images are verified, so it never changes an index; it lets the
+// compiler drop the bounds check on every register access.
+const regMask = NumRegs - 1
 
 // span is one permitted [lo,hi) window of the segment for a given
 // check class. Spans are one-per-region and never merged: a check must
@@ -65,34 +82,60 @@ type stepFn func(vm *VM) (int, error)
 // to the slow path and traps exactly like the interpreter.
 type span struct{ lo, hi int64 }
 
-// Program is a translated image: position-indexed closures plus the
-// precomputed check tables they test against. A Program captures only
-// image constants — all mutable state lives in the VM passed at run
-// time — so one Program is shared by every VM of the same image, which
-// is what makes the registry's translation cache sound (and why the
-// cache key is a content hash, not an image name: see TranslationKey).
+// Region-check classes: which spans a CHKR/CHKW/CHKS tests against.
+const (
+	clsRead = iota
+	clsWrite
+	clsStack
+)
+
+// Program is a translated image: blocks indexed by their head pc plus
+// the precomputed check tables they test against. A Program captures
+// only image constants — all mutable state lives in the VM passed at
+// run time — so one Program is shared by every VM of the same image,
+// which is what makes the registry's translation cache sound (and why
+// the cache key is a content hash, not an image name: see
+// TranslationKey).
 type Program struct {
-	key   string
-	safe  bool
-	steps []stepFn
+	key    string
+	heads  []*block // heads[pc] is the block starting at pc, nil elsewhere
+	blocks []*block // in id order
+	// ins pre-renders the instructions whose traps build their error
+	// from the rendered instruction alone (division, calls, probes), so
+	// an abort-heavy graft does not format on every trap.
+	ins []string
 
 	// Per-check-class permission spans, segment-relative (empty for
 	// flat images).
-	readSpans  []span
-	writeSpans []span
-	stackSpans []span
-	segSize    int64
+	spans   [3][]span
+	segSize int64
 
-	fused int // fused superinstructions, for tests and the sweep
+	fused int // fused micro-operations, for tests and the sweep
 }
+
+// block is one translated run of straight-line code.
+type block struct {
+	id   int
+	ops  []Op  // every instruction's opcode, in execution order
+	body []uop // the executable micro-operations
+	next int   // the successor when body ends without a transfer
+}
+
+// blockCost is a block's cycle charge under one cost model: cost is the
+// total, peak the largest running sum at any instruction (equal to cost
+// unless a cost model has negative entries).
+type blockCost struct{ cost, peak int64 }
 
 // Key returns the program's content-hash identity (TranslationKey of
 // the image it was translated from).
 func (p *Program) Key() string { return p.key }
 
-// Fusions returns how many multi-instruction runs were fused into
-// single closures.
+// Fusions returns how many fused check+access (or probe+call)
+// micro-operations the blocks contain.
 func (p *Program) Fusions() int { return p.fused }
+
+// Blocks returns how many blocks the image was cut into.
+func (p *Program) Blocks() int { return len(p.blocks) }
 
 // TranslationKey is the cache identity of an image for translation
 // purposes: a SHA-256 over the canonical encoding. Two images agree on
@@ -108,8 +151,8 @@ func TranslationKey(img *Image) string {
 // Translate compiles a verified image into a Program. The image must
 // pass Verify — translation is the loader's last stage, after
 // signature and safety checks, and refuses anything the verifier
-// would: an unverifiable image has no certified check placements to
-// fuse against.
+// would: every opcode, register, branch target and kernel-symbol index
+// the blocks bake in has been range-checked.
 func Translate(img *Image) (*Program, error) {
 	if img == nil || len(img.Code) == 0 {
 		return nil, errors.New("sfi: translate: empty image")
@@ -119,81 +162,341 @@ func Translate(img *Image) (*Program, error) {
 	}
 	p := &Program{
 		key:   TranslationKey(img),
-		safe:  img.Safe,
-		steps: make([]stepFn, len(img.Code)),
+		heads: make([]*block, len(img.Code)),
+		ins:   make([]string, len(img.Code)),
+	}
+	for pc, ins := range img.Code {
+		switch ins.Op {
+		case DIV, MOD, CALL, CALLR, CHKCALL:
+			p.ins[pc] = ins.String()
+		}
 	}
 	if l := img.Layout; l != nil {
 		p.segSize = l.SegSize
 		for _, r := range l.Regions {
 			s := span{r.Off, r.Off + r.Size}
 			if r.Perm&PermRead != 0 {
-				p.readSpans = append(p.readSpans, s)
+				p.spans[clsRead] = append(p.spans[clsRead], s)
 			}
 			if r.Perm&PermWrite != 0 {
-				p.writeSpans = append(p.writeSpans, s)
+				p.spans[clsWrite] = append(p.spans[clsWrite], s)
 			}
 			if r.Kind == RegionStack && r.Perm&PermWrite != 0 {
-				p.stackSpans = append(p.stackSpans, s)
+				p.spans[clsStack] = append(p.spans[clsStack], s)
 			}
 		}
 	}
-	// Singletons first: every pc gets a faithful one-instruction
-	// closure, so interior positions of fused runs stay executable even
-	// though nothing can reach them.
-	for pc, ins := range img.Code {
-		p.steps[pc] = p.singleStep(pc, ins)
-	}
-	// Then overlay fused superinstructions at run heads. Greedy
-	// left-to-right, skipping consumed instructions so runs never
-	// overlap.
+	// Every landing point heads a block; so does every successor a
+	// block falls through to. A call in the last slot returns past the
+	// code, where no block starts: the run loop interprets that pc and
+	// traps exactly as the interpreter does.
 	landing := landingPoints(img)
-	for pc := 0; pc < len(img.Code); {
-		if f, n := p.fuse(img, landing, pc); f != nil {
-			p.steps[pc] = f
-			p.fused++
-			pc += n
+	work := make([]int, 0, len(landing))
+	for pc := range landing {
+		if pc < len(img.Code) {
+			work = append(work, pc)
+		}
+	}
+	sort.Ints(work)
+	for len(work) > 0 {
+		head := work[0]
+		work = work[1:]
+		if p.heads[head] != nil {
 			continue
 		}
-		pc++
+		b := p.compile(img.Code, traceFrom(img.Code, head))
+		b.id = len(p.blocks)
+		p.heads[head] = b
+		p.blocks = append(p.blocks, b)
+		if op := b.ops[len(b.ops)-1]; op != JMP && op != RET && op != HALT && b.next < len(img.Code) {
+			work = append(work, b.next)
+		}
 	}
 	return p, nil
 }
 
-// run drives a translated program from pc. The loop mirrors the
-// interpreter's outer loop exactly: the same out-of-range trap, then
-// the step body (which charges, checks fuel and executes like the
-// interpreter's switch arm).
+// traceFrom returns the pcs of the block headed at head, in execution
+// order: fall-through and unconditional jumps are followed, any other
+// transfer ends the block.
+func traceFrom(code []Instr, head int) []int {
+	pcs := make([]int, 0, 8)
+	for pc := head; len(pcs) < maxBlock; {
+		pcs = append(pcs, pc)
+		switch code[pc].Op {
+		case JMP:
+			pc = int(code[pc].Imm)
+			continue
+		case JZ, JNZ, CALL, CALLR, CALLK, RET, HALT:
+			return pcs
+		}
+		if pc++; pc == len(code) {
+			break
+		}
+	}
+	return pcs
+}
+
+// blockCosts prices every block under one cost table.
+func (p *Program) blockCosts(tab *[opCount]int64) []blockCost {
+	out := make([]blockCost, len(p.blocks))
+	for i, b := range p.blocks {
+		var sum int64
+		peak := tab[b.ops[0]]
+		for _, op := range b.ops {
+			sum += tab[op]
+			peak = max(peak, sum)
+		}
+		out[i] = blockCost{cost: sum, peak: peak}
+	}
+	return out
+}
+
+// run drives a translated program from pc until it returns (errDone)
+// or traps. exec runs whole blocks; run makes the kernel calls that end
+// them, and interprets one instruction, with the interpreter's own
+// per-step accounting, wherever pc heads no block or its block would
+// reach the next hook flush or the fuel limit. Kernel calls are made
+// here, below exec's large frame, because kernel callables run deep:
+// started from inside exec they pushed the goroutines of short-lived
+// kernel threads into an extra stack growth, which cost the fleet
+// workload about a tenth of its host time.
 func (p *Program) run(vm *VM, pc int) error {
-	steps := p.steps
 	for {
-		if pc < 0 || pc >= len(steps) {
-			if vm.img.Safe {
-				return &Violation{PC: pc, Ins: "?", Detail: "control flow left the code segment"}
-			}
-			return &CrashError{PC: pc, Ins: "?", Detail: "control flow left the code segment"}
-		}
-		next, err := steps[pc](vm)
-		if err != nil {
-			if err == errDone {
-				return nil
-			}
+		var callk bool
+		var err error
+		pc, callk, err = p.exec(vm, pc)
+		switch {
+		case err != nil:
 			return err
+		case callk:
+			if err := vm.callKernel(pc, int(vm.img.Code[pc].Imm)); err != nil {
+				return err
+			}
+			pc++
+		default:
+			if pc, err = vm.interp(pc, 1); err != nil {
+				return err
+			}
 		}
-		pc = next
 	}
 }
 
-// spansFor returns the permission spans a check opcode tests against.
-func (p *Program) spansFor(op Op) []span {
-	switch op {
-	case CHKR:
-		return p.readSpans
-	case CHKW:
-		return p.writeSpans
-	case CHKS:
-		return p.stackSpans
+// exec runs blocks from pc for as long as each one is a head whose
+// whole charge fits the budget, charging each up front. It returns the
+// pc of a kernel call that ended a block (callk), or the pc run must
+// interpret next, or the trap or errDone that ended the program.
+func (p *Program) exec(vm *VM, pc int) (int, bool, error) {
+	r, costs := &vm.regs, vm.blockCosts
+	for {
+		b := p.headAt(pc)
+		if b == nil || !vm.fits(costs[b.id].peak) {
+			return pc, false, nil
+		}
+		c := costs[b.id].cost
+		vm.steps += int64(len(b.ops))
+		vm.pending += c
+		vm.total += c
+		pc = b.next
+	body:
+		for i := range b.body {
+			u := &b.body[i]
+			switch u.kind {
+			case uMovi:
+				r[u.rd&regMask] = u.imm
+			case uMov:
+				r[u.rd&regMask] = r[u.rs1&regMask]
+			case uAdd:
+				r[u.rd&regMask] = r[u.rs1&regMask] + r[u.rs2&regMask]
+			case uSub:
+				r[u.rd&regMask] = r[u.rs1&regMask] - r[u.rs2&regMask]
+			case uMul:
+				r[u.rd&regMask] = r[u.rs1&regMask] * r[u.rs2&regMask]
+			case uDiv, uMod:
+				d := r[u.rs2&regMask]
+				if d == 0 {
+					return 0, false, b.trap(vm, u.pos, divByZero(int(u.pc), p.ins[u.pc]))
+				}
+				if u.kind == uDiv {
+					r[u.rd&regMask] = r[u.rs1&regMask] / d
+				} else {
+					r[u.rd&regMask] = r[u.rs1&regMask] % d
+				}
+			case uAnd:
+				r[u.rd&regMask] = r[u.rs1&regMask] & r[u.rs2&regMask]
+			case uOr:
+				r[u.rd&regMask] = r[u.rs1&regMask] | r[u.rs2&regMask]
+			case uXor:
+				r[u.rd&regMask] = r[u.rs1&regMask] ^ r[u.rs2&regMask]
+			case uShl:
+				r[u.rd&regMask] = r[u.rs1&regMask] << (uint64(r[u.rs2&regMask]) & 63)
+			case uShr:
+				r[u.rd&regMask] = int64(uint64(r[u.rs1&regMask]) >> (uint64(r[u.rs2&regMask]) & 63))
+			case uAddi:
+				r[u.rd&regMask] = r[u.rs1&regMask] + u.imm
+			case uAndi:
+				r[u.rd&regMask] = r[u.rs1&regMask] & u.imm
+			case uCmpEQ:
+				r[u.rd&regMask] = b2i(r[u.rs1&regMask] == r[u.rs2&regMask])
+			case uCmpLT:
+				r[u.rd&regMask] = b2i(r[u.rs1&regMask] < r[u.rs2&regMask])
+			case uCmpLE:
+				r[u.rd&regMask] = b2i(r[u.rs1&regMask] <= r[u.rs2&regMask])
+			case uLoad:
+				addr, w := r[u.rs1&regMask]+u.imm, int64(u.width)
+				if addr < 0 || addr+w > int64(len(vm.arena)) {
+					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, int(w)))
+				}
+				r[u.rd&regMask] = fastLoad(vm, addr, w)
+			case uStore:
+				addr, w := r[u.rs1&regMask]+u.imm, int64(u.width)
+				if addr < 0 || addr+w > int64(len(vm.arena)) {
+					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, int(w)))
+				}
+				fastStore(vm, addr, w, r[u.rs2&regMask])
+			case uPush:
+				r[RegSP] -= 8
+				addr := r[RegSP]
+				if addr < 0 || addr+8 > int64(len(vm.arena)) {
+					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, 8))
+				}
+				fastStore(vm, addr, 8, r[u.rs1&regMask])
+			case uPop:
+				addr := r[RegSP]
+				if addr < 0 || addr+8 > int64(len(vm.arena)) {
+					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, 8))
+				}
+				r[u.rd&regMask] = fastLoad(vm, addr, 8)
+				r[RegSP] += 8
+			case uSandbox:
+				r[u.rd&regMask] = int64(vm.segBase | (uint64(r[u.rd&regMask]) & (vm.segSize - 1)))
+			case uCheck:
+				if !inSpans(p.spans[u.cls], r[u.rd&regMask]-int64(vm.segBase), int64(u.width), p.segSize) {
+					if err := vm.regionCheck(int(u.pc), vm.img.Code[u.pc]); err != nil {
+						return 0, false, b.trap(vm, u.pos, err)
+					}
+				}
+			case uChkCall:
+				if !vm.table.Contains(r[u.rs1&regMask]) {
+					return 0, false, b.trap(vm, u.pos, unregisteredTarget(int(u.pc), p.ins[u.pc], r[u.rs1&regMask]))
+				}
+			case uRegionLoad, uRegionStore:
+				addr, w := r[u.rs1&regMask]+u.imm, int64(u.width)
+				r[u.rd&regMask] = addr
+				if !inSpans(p.spans[u.cls], addr-int64(vm.segBase), w, p.segSize) {
+					if err := vm.regionCheck(int(u.pc), vm.img.Code[u.pc]); err != nil {
+						return 0, false, b.trap(vm, u.pos, err)
+					}
+				}
+				// A passed check proves [addr, addr+w) inside the segment.
+				if u.kind == uRegionLoad {
+					r[u.rs2&regMask] = fastLoad(vm, addr, w)
+				} else {
+					fastStore(vm, addr, w, r[u.rs2&regMask])
+				}
+			case uPopCheck:
+				addr := r[RegSP]
+				if !inSpans(p.spans[clsRead], addr-int64(vm.segBase), 8, p.segSize) {
+					if err := vm.regionCheck(int(u.pc), vm.img.Code[u.pc]); err != nil {
+						return 0, false, b.trap(vm, u.pos, err)
+					}
+				}
+				r[u.rd&regMask] = fastLoad(vm, addr, 8)
+				r[RegSP] += 8
+			case uMaskedLoad, uMaskedStore:
+				addr := int64(vm.segBase | (uint64(r[u.rs1&regMask]+u.imm) & (vm.segSize - 1)))
+				w := int64(u.width)
+				r[u.rd&regMask] = addr
+				if addr+w > int64(len(vm.arena)) {
+					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, int(w)))
+				}
+				if u.kind == uMaskedLoad {
+					r[u.rs2&regMask] = fastLoad(vm, addr, w)
+				} else {
+					fastStore(vm, addr, w, r[u.rs2&regMask])
+				}
+			case uJmp:
+				pc = int(u.imm)
+				break body
+			case uJz:
+				if r[u.rs1&regMask] == 0 {
+					pc = int(u.imm)
+				}
+				break body
+			case uJnz:
+				if r[u.rs1&regMask] != 0 {
+					pc = int(u.imm)
+				}
+				break body
+			case uCall:
+				if !vm.pushReturn(int(u.pc)) {
+					return 0, false, callOverflow(int(u.pc), p.ins[u.pc])
+				}
+				pc = int(u.imm)
+				break body
+			case uCallR:
+				if !vm.pushReturn(int(u.pc)) {
+					return 0, false, callOverflow(int(u.pc), p.ins[u.pc])
+				}
+				pc = int(r[u.rs1&regMask])
+				break body
+			case uCheckedCall:
+				target := r[u.rs1&regMask]
+				if !vm.table.Contains(target) {
+					return 0, false, b.trap(vm, u.pos, unregisteredTarget(int(u.pc), p.ins[u.pc], target))
+				}
+				if !vm.pushReturn(int(u.pc) + 1) {
+					return 0, false, callOverflow(int(u.pc)+1, p.ins[u.pc+1])
+				}
+				pc = int(target)
+				break body
+			case uCallK:
+				return int(u.pc), true, nil
+			case uRet:
+				if len(vm.shadow) == 0 {
+					return 0, false, errDone
+				}
+				pc = vm.shadow[len(vm.shadow)-1]
+				vm.shadow = vm.shadow[:len(vm.shadow)-1]
+				break body
+			case uHalt:
+				return 0, false, errDone
+			}
+		}
 	}
-	return nil
+}
+
+// headAt returns the block headed at pc, or nil.
+func (p *Program) headAt(pc int) *block {
+	if pc < 0 || pc >= len(p.heads) {
+		return nil
+	}
+	return p.heads[pc]
+}
+
+// fits is the per-block budget check: charging a running sum of at most
+// peak cycles neither reaches the next hook flush nor exceeds the fuel
+// limit.
+func (vm *VM) fits(peak int64) bool {
+	return vm.pending+peak < vm.hookEvr && (vm.maxCyc <= 0 || vm.total+peak <= vm.maxCyc)
+}
+
+// trap unwinds a block's up-front charge to its trapping instruction —
+// the one at trace position pos, which the interpreter charged before
+// executing it — and returns err.
+//
+// Kept out of line: the traps are cold, and inlined copies would crowd
+// exec's registers.
+//
+//go:noinline
+func (b *block) trap(vm *VM, pos int32, err error) error {
+	var refund int64
+	for _, op := range b.ops[pos+1:] {
+		refund += vm.costTab[op]
+	}
+	vm.steps -= int64(len(b.ops)) - int64(pos) - 1
+	vm.pending -= refund
+	vm.total -= refund
+	return err
 }
 
 // inSpans is the fused fast path of a region check: [off,off+width)
@@ -237,551 +540,177 @@ func fastStore(vm *VM, addr int64, width int64, v int64) {
 	binary.LittleEndian.PutUint64(vm.arena[addr:], uint64(v))
 }
 
-// fuse recognises the rewriter's certified instruction patterns at pc
-// and returns a superinstruction closure plus the number of
-// instructions consumed, or (nil, 0). Every pattern requires that no
-// landing point falls after the head — control flow provably cannot
-// enter mid-run.
-func (p *Program) fuse(img *Image, landing map[int]bool, pc int) (stepFn, int) {
-	if !img.Safe {
-		// Unsafe images carry no certified checks; they run on
-		// singletons (decode removal only).
-		return nil, 0
+// uopKind selects a micro-operation. Most mirror one GIR opcode; the
+// uRegion*, uMasked* and uPopCheck kinds are fused check+access
+// sequences, and uCheckedCall is the fused CHKCALL+CALLR probe.
+type uopKind uint8
+
+const (
+	uMovi uopKind = iota
+	uMov
+	uAdd
+	uSub
+	uMul
+	uDiv
+	uMod
+	uAnd
+	uOr
+	uXor
+	uShl
+	uShr
+	uAddi
+	uAndi
+	uCmpEQ
+	uCmpLT
+	uCmpLE
+	uLoad
+	uStore
+	uPush
+	uPop
+	uSandbox
+	uCheck
+	uChkCall
+	// Fused: ADDI rd,rs1,imm ; CHKR/CHKW/CHKS rd,w ; LD/ST [rd+0].
+	uRegionLoad
+	uRegionStore
+	// Fused: CHKR sp,8 ; LD rd,[sp+0] ; ADDI sp,sp,8 (the POP lowering).
+	uPopCheck
+	// Fused: ADDI rd,rs1,imm ; SANDBOX rd ; LD/ST [rd+0].
+	uMaskedLoad
+	uMaskedStore
+	// Block terminators.
+	uJmp
+	uJz
+	uJnz
+	uCall
+	uCallR
+	uCheckedCall
+	uCallK
+	uRet
+	uHalt
+)
+
+// uop is one pre-decoded micro-operation. Register fields are the
+// instruction's own; fused kinds put the access's data register in rs2.
+type uop struct {
+	kind         uopKind
+	rd, rs1, rs2 uint8
+	cls          uint8 // region-check class (clsRead/clsWrite/clsStack)
+	width        uint8 // memory access width in bytes
+	pos          int32 // trace position of the instruction that can trap
+	pc           int32 // that instruction's pc, for trap errors
+	imm          int64
+}
+
+// simpleKinds maps each opcode to the micro-operation that executes it
+// alone, with the instruction's own operands. NOP has none: it only
+// costs cycles.
+var simpleKinds = [opCount]uopKind{
+	MOVI: uMovi, LEA: uMovi, MOV: uMov, ADD: uAdd, SUB: uSub, MUL: uMul,
+	DIV: uDiv, MOD: uMod, AND: uAnd, OR: uOr, XOR: uXor, SHL: uShl,
+	SHR: uShr, ADDI: uAddi, ANDI: uAndi, CMPEQ: uCmpEQ, CMPLT: uCmpLT,
+	CMPLE: uCmpLE, LD: uLoad, LDB: uLoad, ST: uStore, STB: uStore,
+	PUSH: uPush, POP: uPop, SANDBOX: uSandbox, CHKR: uCheck, CHKW: uCheck,
+	CHKS: uCheck, CHKCALL: uChkCall, JMP: uJmp, JZ: uJz, JNZ: uJnz,
+	CALL: uCall, CALLR: uCallR, CALLK: uCallK, RET: uRet, HALT: uHalt,
+}
+
+// checkClass returns the span class a region-check opcode tests.
+func checkClass(op Op) uint8 {
+	switch op {
+	case CHKW:
+		return clsWrite
+	case CHKS:
+		return clsStack
 	}
-	code := img.Code
-	// Two-instruction pattern: CHKCALL rs ; CALLR rs.
-	if pc+1 < len(code) && !landing[pc+1] {
-		a, b := code[pc], code[pc+1]
-		if a.Op == CHKCALL && b.Op == CALLR && a.Rs1 == b.Rs1 {
-			if f := p.fuseCheckedCall(pc, a, b); f != nil {
-				return f, 2
-			}
+	return clsRead
+}
+
+// compile pre-decodes a trace into a block.
+func (p *Program) compile(code []Instr, pcs []int) *block {
+	b := &block{ops: make([]Op, len(pcs)), next: pcs[len(pcs)-1] + 1}
+	for i, pc := range pcs {
+		b.ops[i] = code[pc].Op
+	}
+	last := len(pcs) - 1
+	for i := 0; i < len(pcs); {
+		ins := code[pcs[i]]
+		if ins.Op == NOP || (ins.Op == JMP && i < last) {
+			i++ // no effect beyond its cycles; a followed jump is the trace itself
+			continue
 		}
+		if u, n := fuse(code, pcs, i); n > 0 {
+			b.body = append(b.body, u)
+			p.fused++
+			i += n
+			continue
+		}
+		u := uop{
+			kind: simpleKinds[ins.Op],
+			rd:   ins.Rd, rs1: ins.Rs1, rs2: ins.Rs2,
+			cls:   checkClass(ins.Op),
+			width: uint8(accessWidth(ins.Op)),
+			pos:   int32(i), pc: int32(pcs[i]),
+			imm: ins.Imm,
+		}
+		if ins.Op == CHKR || ins.Op == CHKW || ins.Op == CHKS {
+			u.width = uint8(ins.Imm)
+		}
+		b.body = append(b.body, u)
+		i++
 	}
-	if pc+2 >= len(code) || landing[pc+1] || landing[pc+2] {
-		return nil, 0
+	return b
+}
+
+// fuse recognises the rewriter's check+access patterns at trace
+// position i and returns the fused micro-operation plus the number of
+// instructions it covers, or n == 0.
+func fuse(code []Instr, pcs []int, i int) (uop, int) {
+	at := func(k int) Instr {
+		if i+k < len(pcs) {
+			return code[pcs[i+k]]
+		}
+		return Instr{Op: opCount}
 	}
-	a, b, c := code[pc], code[pc+1], code[pc+2]
+	a, b, c := at(0), at(1), at(2)
+	pos := func(k int) (int32, int32) { return int32(i + k), int32(pcs[i+k]) }
 	switch {
-	// ADDI rd,rs,imm ; CHKR/CHKW/CHKS rd,w ; access [rd+0]
-	// (covers plain accesses and the PUSH expansion, where rd is SP).
+	// CHKCALL rs ; CALLR rs.
+	case a.Op == CHKCALL && b.Op == CALLR && a.Rs1 == b.Rs1:
+		p, pc := pos(0)
+		return uop{kind: uCheckedCall, rs1: a.Rs1, pos: p, pc: pc}, 2
+	// ADDI rd,rs,imm ; CHKR/CHKW/CHKS rd,w ; access [rd+0] (plain
+	// accesses and the PUSH lowering, where rd is SP).
 	case a.Op == ADDI && (b.Op == CHKR || b.Op == CHKW || b.Op == CHKS) &&
-		b.Rd == a.Rd && c.accessesMem() && c.Op != PUSH && c.Op != POP &&
-		c.Rs1 == a.Rd && c.Imm == 0 && b.Imm == accessWidth(c.Op) &&
-		img.Layout != nil:
-		return p.fuseRegionAccess(pc, a, b, c), 3
-	// CHKR sp,8 ; LD rd,[sp+0] ; ADDI sp,sp,8 (the POP expansion).
+		b.Rd == a.Rd && isLoadStore(c.Op) && c.Rs1 == a.Rd && c.Imm == 0 &&
+		b.Imm == accessWidth(c.Op):
+		p, pc := pos(1)
+		u := uop{kind: uRegionLoad, rd: a.Rd, rs1: a.Rs1, rs2: c.Rd, cls: checkClass(b.Op),
+			width: uint8(b.Imm), pos: p, pc: pc, imm: a.Imm}
+		if c.Op == ST || c.Op == STB {
+			u.kind, u.rs2 = uRegionStore, c.Rs2
+		}
+		return u, 3
+	// CHKR sp,8 ; LD rd,[sp+0] ; ADDI sp,sp,8 (the POP lowering).
 	case a.Op == CHKR && a.Rd == RegSP && a.Imm == 8 &&
 		b.Op == LD && b.Rs1 == RegSP && b.Imm == 0 &&
-		c.Op == ADDI && c.Rd == RegSP && c.Rs1 == RegSP && c.Imm == 8 &&
-		img.Layout != nil:
-		return p.fusePopExpansion(pc, a, b), 3
+		c.Op == ADDI && c.Rd == RegSP && c.Rs1 == RegSP && c.Imm == 8:
+		p, pc := pos(0)
+		return uop{kind: uPopCheck, rd: b.Rd, pos: p, pc: pc}, 3
 	// ADDI rd,rs,imm ; SANDBOX rd ; access [rd+0] (the flat pipeline).
+	// Only the access can trap: the masked address may overrun the
+	// arena in the segment's last bytes.
 	case a.Op == ADDI && b.Op == SANDBOX && b.Rd == a.Rd &&
-		c.accessesMem() && c.Op != PUSH && c.Op != POP &&
-		c.Rs1 == a.Rd && c.Imm == 0 && img.Layout == nil:
-		return p.fuseSandboxAccess(pc, a, c), 3
+		isLoadStore(c.Op) && c.Rs1 == a.Rd && c.Imm == 0:
+		p, pc := pos(2)
+		u := uop{kind: uMaskedLoad, rd: a.Rd, rs1: a.Rs1, rs2: c.Rd,
+			width: uint8(accessWidth(c.Op)), pos: p, pc: pc, imm: a.Imm}
+		if c.Op == ST || c.Op == STB {
+			u.kind, u.rs2 = uMaskedStore, c.Rs2
+		}
+		return u, 3
 	}
-	return nil, 0
+	return uop{}, 0
 }
 
-// fuseRegionAccess compiles the compartment pipeline's certified
-// triple: address formation, region check, access. The fast path
-// replaces the interpreter's region-table walk with a span compare;
-// every miss (out of segment, straddle, grant-only share, permission
-// denial) takes the interpreter's own regionCheck so traps and grant
-// audits stay identical.
-func (p *Program) fuseRegionAccess(pc int, a, b, c Instr) stepFn {
-	aOp, aRd, aRs1, aImm := a.Op, a.Rd, a.Rs1, a.Imm
-	bOp, chkPC, chkIns := b.Op, pc+1, b
-	cOp, cRd, cRs2 := c.Op, c.Rd, c.Rs2
-	width := accessWidth(cOp)
-	spans := p.spansFor(bOp)
-	segSize := p.segSize
-	isStore := cOp == ST || cOp == STB
-	next := pc + 3
-	return func(vm *VM) (int, error) {
-		if err := vm.tick(vm.costTab[aOp]); err != nil {
-			return 0, err
-		}
-		addr := vm.regs[aRs1] + aImm
-		vm.regs[aRd] = addr
-		if err := vm.tick(vm.costTab[bOp]); err != nil {
-			return 0, err
-		}
-		if !inSpans(spans, addr-int64(vm.segBase), width, segSize) {
-			if err := vm.regionCheck(chkPC, chkIns); err != nil {
-				return 0, err
-			}
-		}
-		if err := vm.tick(vm.costTab[cOp]); err != nil {
-			return 0, err
-		}
-		if isStore {
-			fastStore(vm, addr, width, vm.regs[cRs2])
-		} else {
-			vm.regs[cRd] = fastLoad(vm, addr, width)
-		}
-		return next, nil
-	}
-}
-
-// fusePopExpansion compiles the compartment POP lowering: stack-read
-// check, load through SP, SP bump.
-func (p *Program) fusePopExpansion(pc int, a, b Instr) stepFn {
-	chkPC, chkIns := pc, a
-	bRd := b.Rd
-	spans := p.readSpans
-	segSize := p.segSize
-	next := pc + 3
-	return func(vm *VM) (int, error) {
-		if err := vm.tick(vm.costTab[CHKR]); err != nil {
-			return 0, err
-		}
-		addr := vm.regs[RegSP]
-		if !inSpans(spans, addr-int64(vm.segBase), 8, segSize) {
-			if err := vm.regionCheck(chkPC, chkIns); err != nil {
-				return 0, err
-			}
-		}
-		if err := vm.tick(vm.costTab[LD]); err != nil {
-			return 0, err
-		}
-		vm.regs[bRd] = fastLoad(vm, addr, 8)
-		if err := vm.tick(vm.costTab[ADDI]); err != nil {
-			return 0, err
-		}
-		vm.regs[RegSP] += 8
-		return next, nil
-	}
-}
-
-// fuseSandboxAccess compiles the flat pipeline's certified triple:
-// address formation, sandbox mask, access. The mask confines the
-// address to the segment; only the final bytes of the segment can
-// still overrun the arena, and that tail case takes the interpreter's
-// load/store for the identical memErr.
-func (p *Program) fuseSandboxAccess(pc int, a, c Instr) stepFn {
-	aRd, aRs1, aImm := a.Rd, a.Rs1, a.Imm
-	cOp, cRd, cRs2 := c.Op, c.Rd, c.Rs2
-	accPC, accIns := pc+2, c
-	width := accessWidth(cOp)
-	isStore := cOp == ST || cOp == STB
-	next := pc + 3
-	return func(vm *VM) (int, error) {
-		if err := vm.tick(vm.costTab[ADDI]); err != nil {
-			return 0, err
-		}
-		vm.regs[aRd] = vm.regs[aRs1] + aImm
-		if err := vm.tick(vm.costTab[SANDBOX]); err != nil {
-			return 0, err
-		}
-		addr := int64(vm.segBase | (uint64(vm.regs[aRd]) & (vm.segSize - 1)))
-		vm.regs[aRd] = addr
-		if err := vm.tick(vm.costTab[cOp]); err != nil {
-			return 0, err
-		}
-		if addr+width > int64(len(vm.arena)) {
-			// Segment-tail overrun: the interpreter's path reports it.
-			if isStore {
-				return 0, vm.store(accPC, accIns, addr, int(width), vm.regs[cRs2])
-			}
-			v, err := vm.load(accPC, accIns, addr, int(width))
-			if err != nil {
-				return 0, err
-			}
-			vm.regs[cRd] = v
-			return next, nil
-		}
-		if isStore {
-			fastStore(vm, addr, width, vm.regs[cRs2])
-		} else {
-			vm.regs[cRd] = fastLoad(vm, addr, width)
-		}
-		return next, nil
-	}
-}
-
-// fuseCheckedCall compiles CHKCALL+CALLR. The table probe still runs
-// through CallTable.Contains so probe statistics (the paper's 10–15
-// cycle cost model evidence) accumulate identically.
-func (p *Program) fuseCheckedCall(pc int, a, b Instr) stepFn {
-	rs1 := a.Rs1
-	chkStr := a.String()
-	callStr := b.String()
-	callPC := pc + 1
-	ret := pc + 2
-	return func(vm *VM) (int, error) {
-		if err := vm.tick(vm.costTab[CHKCALL]); err != nil {
-			return 0, err
-		}
-		target := vm.regs[rs1]
-		if !vm.table.Contains(target) {
-			return 0, &Violation{PC: pc, Ins: chkStr, Detail: fmt.Sprintf("indirect call to unregistered target %d", target)}
-		}
-		if err := vm.tick(vm.costTab[CALLR]); err != nil {
-			return 0, err
-		}
-		if len(vm.shadow) >= maxShadowDepth {
-			return 0, &Violation{PC: callPC, Ins: callStr, Detail: "call stack overflow"}
-		}
-		vm.shadow = append(vm.shadow, ret)
-		return int(vm.regs[rs1]), nil
-	}
-}
-
-// singleStep builds the faithful one-instruction closure for pc: the
-// interpreter's switch arm, specialized at translation time (opcode,
-// operands and the rendered instruction string are baked in).
-func (p *Program) singleStep(pc int, ins Instr) stepFn {
-	op := ins.Op
-	rd, rs1, rs2, imm := ins.Rd, ins.Rs1, ins.Rs2, ins.Imm
-	next := pc + 1
-	switch op {
-	case NOP:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[NOP]); err != nil {
-				return 0, err
-			}
-			return next, nil
-		}
-	case MOVI, LEA:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[op]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = imm
-			return next, nil
-		}
-	case MOV:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[MOV]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1]
-			return next, nil
-		}
-	case ADD:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[ADD]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] + vm.regs[rs2]
-			return next, nil
-		}
-	case SUB:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[SUB]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] - vm.regs[rs2]
-			return next, nil
-		}
-	case MUL:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[MUL]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] * vm.regs[rs2]
-			return next, nil
-		}
-	case DIV, MOD:
-		insStr := ins.String()
-		isDiv := op == DIV
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[op]); err != nil {
-				return 0, err
-			}
-			d := vm.regs[rs2]
-			if d == 0 {
-				return 0, &Violation{PC: pc, Ins: insStr, Detail: "division by zero"}
-			}
-			if isDiv {
-				vm.regs[rd] = vm.regs[rs1] / d
-			} else {
-				vm.regs[rd] = vm.regs[rs1] % d
-			}
-			return next, nil
-		}
-	case AND:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[AND]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] & vm.regs[rs2]
-			return next, nil
-		}
-	case OR:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[OR]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] | vm.regs[rs2]
-			return next, nil
-		}
-	case XOR:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[XOR]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] ^ vm.regs[rs2]
-			return next, nil
-		}
-	case SHL:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[SHL]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] << (uint64(vm.regs[rs2]) & 63)
-			return next, nil
-		}
-	case SHR:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[SHR]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = int64(uint64(vm.regs[rs1]) >> (uint64(vm.regs[rs2]) & 63))
-			return next, nil
-		}
-	case ADDI:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[ADDI]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] + imm
-			return next, nil
-		}
-	case ANDI:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[ANDI]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = vm.regs[rs1] & imm
-			return next, nil
-		}
-	case CMPEQ:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CMPEQ]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = b2i(vm.regs[rs1] == vm.regs[rs2])
-			return next, nil
-		}
-	case CMPLT:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CMPLT]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = b2i(vm.regs[rs1] < vm.regs[rs2])
-			return next, nil
-		}
-	case CMPLE:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CMPLE]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = b2i(vm.regs[rs1] <= vm.regs[rs2])
-			return next, nil
-		}
-	case JMP:
-		target := int(imm)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[JMP]); err != nil {
-				return 0, err
-			}
-			return target, nil
-		}
-	case JZ:
-		target := int(imm)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[JZ]); err != nil {
-				return 0, err
-			}
-			if vm.regs[rs1] == 0 {
-				return target, nil
-			}
-			return next, nil
-		}
-	case JNZ:
-		target := int(imm)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[JNZ]); err != nil {
-				return 0, err
-			}
-			if vm.regs[rs1] != 0 {
-				return target, nil
-			}
-			return next, nil
-		}
-	case LD, LDB:
-		width := accessWidth(op)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[op]); err != nil {
-				return 0, err
-			}
-			addr := vm.regs[rs1] + imm
-			if addr >= 0 && addr+width <= int64(len(vm.arena)) {
-				vm.regs[rd] = fastLoad(vm, addr, width)
-				return next, nil
-			}
-			v, err := vm.load(pc, ins, addr, int(width))
-			if err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = v
-			return next, nil
-		}
-	case ST, STB:
-		width := accessWidth(op)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[op]); err != nil {
-				return 0, err
-			}
-			addr := vm.regs[rs1] + imm
-			if addr >= 0 && addr+width <= int64(len(vm.arena)) {
-				fastStore(vm, addr, width, vm.regs[rs2])
-				return next, nil
-			}
-			return 0, vm.store(pc, ins, addr, int(width), vm.regs[rs2])
-		}
-	case PUSH:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[PUSH]); err != nil {
-				return 0, err
-			}
-			vm.regs[RegSP] -= 8
-			addr := vm.regs[RegSP]
-			if addr >= 0 && addr+8 <= int64(len(vm.arena)) {
-				fastStore(vm, addr, 8, vm.regs[rs1])
-				return next, nil
-			}
-			return 0, vm.store(pc, ins, addr, 8, vm.regs[rs1])
-		}
-	case POP:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[POP]); err != nil {
-				return 0, err
-			}
-			addr := vm.regs[RegSP]
-			if addr >= 0 && addr+8 <= int64(len(vm.arena)) {
-				vm.regs[rd] = fastLoad(vm, addr, 8)
-			} else {
-				v, err := vm.load(pc, ins, addr, 8)
-				if err != nil {
-					return 0, err
-				}
-				vm.regs[rd] = v
-			}
-			vm.regs[RegSP] += 8
-			return next, nil
-		}
-	case CALL:
-		insStr := ins.String()
-		target := int(imm)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CALL]); err != nil {
-				return 0, err
-			}
-			if len(vm.shadow) >= maxShadowDepth {
-				return 0, &Violation{PC: pc, Ins: insStr, Detail: "call stack overflow"}
-			}
-			vm.shadow = append(vm.shadow, next)
-			return target, nil
-		}
-	case CALLR:
-		insStr := ins.String()
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CALLR]); err != nil {
-				return 0, err
-			}
-			if len(vm.shadow) >= maxShadowDepth {
-				return 0, &Violation{PC: pc, Ins: insStr, Detail: "call stack overflow"}
-			}
-			vm.shadow = append(vm.shadow, next)
-			return int(vm.regs[rs1]), nil
-		}
-	case CALLK:
-		insStr := ins.String()
-		idx := int(imm)
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CALLK]); err != nil {
-				return 0, err
-			}
-			if idx < 0 || idx >= len(vm.kernel) {
-				return 0, &Violation{PC: pc, Ins: insStr, Detail: "kernel symbol index out of range"}
-			}
-			vm.flush() // kernel time is accounted separately by the callee
-			var args [5]int64
-			copy(args[:], vm.regs[1:6])
-			res, err := vm.kernel[idx](vm, args)
-			if err != nil {
-				return 0, fmt.Errorf("sfi: kernel call %s failed: %w", vm.img.Symbols[idx], err)
-			}
-			vm.regs[0] = res
-			return next, nil
-		}
-	case RET:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[RET]); err != nil {
-				return 0, err
-			}
-			if len(vm.shadow) == 0 {
-				return 0, errDone
-			}
-			ret := vm.shadow[len(vm.shadow)-1]
-			vm.shadow = vm.shadow[:len(vm.shadow)-1]
-			return ret, nil
-		}
-	case HALT:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[HALT]); err != nil {
-				return 0, err
-			}
-			return 0, errDone
-		}
-	case SANDBOX:
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[SANDBOX]); err != nil {
-				return 0, err
-			}
-			vm.regs[rd] = int64(vm.segBase | (uint64(vm.regs[rd]) & (vm.segSize - 1)))
-			return next, nil
-		}
-	case CHKR, CHKW, CHKS:
-		spans := p.spansFor(op)
-		width := imm
-		segSize := p.segSize
-		fastable := width == 1 || width == 8
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[op]); err != nil {
-				return 0, err
-			}
-			if fastable && inSpans(spans, vm.regs[rd]-int64(vm.segBase), width, segSize) {
-				return next, nil
-			}
-			if err := vm.regionCheck(pc, ins); err != nil {
-				return 0, err
-			}
-			return next, nil
-		}
-	case CHKCALL:
-		insStr := ins.String()
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[CHKCALL]); err != nil {
-				return 0, err
-			}
-			if !vm.table.Contains(vm.regs[rs1]) {
-				return 0, &Violation{PC: pc, Ins: insStr, Detail: fmt.Sprintf("indirect call to unregistered target %d", vm.regs[rs1])}
-			}
-			return next, nil
-		}
-	default:
-		insStr := ins.String()
-		return func(vm *VM) (int, error) {
-			if err := vm.tick(vm.costTab[NOP]); err != nil {
-				return 0, err
-			}
-			return 0, &Violation{PC: pc, Ins: insStr, Detail: "illegal opcode"}
-		}
-	}
-}
+func isLoadStore(op Op) bool { return op == LD || op == LDB || op == ST || op == STB }

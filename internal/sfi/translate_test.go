@@ -269,6 +269,27 @@ func TestTranslateTrapParity(t *testing.T) {
 			img:   mk(t, BuildCompartmented, ".name pu\n.func main\nmain:\n pop r1\n ret"),
 			entry: "main", check: "outside the compartment segment",
 		},
+		// A call in the last slot: its return address lies past the code.
+		{
+			name:  "trailing-call-recursion",
+			img:   mkUnsafe(t, ".name tc\n.func main\nmain:\n call main\n"),
+			entry: "main", check: "call stack overflow",
+		},
+		{
+			name:  "trailing-call-recursion-safe",
+			img:   mk(t, BuildSafe, ".name tc\n.func main\nmain:\n call main\n"),
+			entry: "main", check: "call stack overflow",
+		},
+		{
+			name:  "trailing-call-returns-past-code",
+			img:   mkUnsafe(t, ".name tr\n.func main\nmain:\n jmp tail\nsub:\n ret\ntail:\n call sub\n"),
+			entry: "main", check: "control flow left the code segment",
+		},
+		{
+			name:  "trailing-call-returns-past-code-safe",
+			img:   mk(t, BuildSafe, ".name tr\n.func main\nmain:\n jmp tail\nsub:\n ret\ntail:\n call sub\n"),
+			entry: "main", check: "control flow left the code segment",
+		},
 		{
 			name:  "kernel-call-error",
 			img:   mkUnsafe(t, ".name ke\n.import test.fail\n.func main\nmain:\n callk test.fail\n ret"),
@@ -383,5 +404,215 @@ func TestTranslateHookFlushSchedule(t *testing.T) {
 	}
 	if len(oracle) < 10 {
 		t.Fatalf("only %d flushes; workload too small to trust", len(oracle))
+	}
+}
+
+// spinSrc is the chaos harness's runaway graft: a one-instruction loop
+// that only a watchdog or the fuel cap ends.
+const spinSrc = ".name spin\n.func main\nmain:\n    jmp main\n"
+
+// TestBlockShape pins how Translate cuts code into blocks: every block
+// is at most maxBlock long; only its last instruction may transfer
+// control (a JMP inside a block was followed, not executed); a kernel
+// call or conditional branch always ends a block; and every landing
+// point heads one.
+func TestBlockShape(t *testing.T) {
+	for name, img := range buildAll(t, translateWorkload) {
+		prog, err := Translate(img)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for pc := range landingPoints(img) {
+			if prog.heads[pc] == nil {
+				t.Errorf("%s: landing point %d heads no block", name, pc)
+			}
+		}
+		for _, b := range prog.blocks {
+			if len(b.ops) == 0 || len(b.ops) > maxBlock {
+				t.Fatalf("%s: block %d has %d instructions", name, b.id, len(b.ops))
+			}
+			for i, op := range b.ops[:len(b.ops)-1] {
+				switch op {
+				case JZ, JNZ, CALL, CALLR, CALLK, RET, HALT:
+					t.Errorf("%s: block %d: %s at position %d of %d does not end the block", name, b.id, op, i, len(b.ops))
+				}
+			}
+		}
+	}
+	spin, _, err := BuildSafe(spinSrc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Translate(spin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Blocks() != 1 || len(prog.blocks[0].ops) != maxBlock {
+		t.Fatalf("self-loop: %d blocks, first %d long; want one superblock of %d jumps", prog.Blocks(), len(prog.blocks[0].ops), maxBlock)
+	}
+}
+
+// TestBlockBudgetBoundaryParity moves the hook-flush interval and the
+// fuel cap across every offset of the workload's blocks: wherever a
+// block straddles a flush or the cap, the engine must fall back to the
+// interpreter at exactly the right instruction.
+func TestBlockBudgetBoundaryParity(t *testing.T) {
+	imgs := buildAll(t, translateWorkload)
+	spin, _, err := BuildSafe(spinSrc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs["spin"] = spin
+	for name, img := range imgs {
+		for every := int64(1); every <= 130; every += 3 {
+			cfg := Config{Kernel: mixKernel(), HookEvery: every, Hook: func(int64) {}, MaxCycles: 20_000}
+			if err := ExecDiff(img, cfg, nil, "main"); err != nil {
+				t.Fatalf("%s HookEvery=%d: %v", name, every, err)
+			}
+		}
+		for limit := int64(1); limit <= 400; limit++ {
+			cfg := Config{Kernel: mixKernel(), Hook: func(int64) {}, MaxCycles: limit}
+			if err := ExecDiff(img, cfg, nil, "main"); err != nil {
+				t.Fatalf("%s MaxCycles=%d: %v", name, limit, err)
+			}
+		}
+	}
+}
+
+// TestBlockTrapRefund traps at every position of one long block: the
+// up-front charge must be refunded down to exactly the steps and cycles
+// the interpreter had spent when it trapped.
+func TestBlockTrapRefund(t *testing.T) {
+	const n = 40
+	for at := 0; at < n; at++ {
+		var b strings.Builder
+		b.WriteString(".name refund\n.func main\nmain:\n    movi r2, 0\n")
+		for i := 0; i < n; i++ {
+			switch {
+			case i == at:
+				b.WriteString("    div r3, r1, r2\n") // divisor zero: traps here
+			case i%3 == 0:
+				b.WriteString("    addi r4, r10, 64\n    st [r4+0], r1\n")
+			default:
+				b.WriteString("    mul r1, r1, r1\n")
+			}
+		}
+		b.WriteString("    ret\n")
+		for name, img := range buildAll(t, b.String()) {
+			if err := ExecDiff(img, Config{Hook: func(int64) {}}, nil, "main", 3); err != nil {
+				t.Fatalf("trap at %d, %s: %v", at, name, err)
+			}
+		}
+	}
+}
+
+// TestBlockCostModelParity runs blocks priced under non-default cost
+// models, including free and negative-cost instructions, where a
+// block's peak running charge differs from its total.
+func TestBlockCostModelParity(t *testing.T) {
+	models := []Costs{
+		{Default: 0, MulDiv: 0, Mem: 0, Sandbox: 0, ChkCall: 0, Call: 0, CallK: 0, RegionCheck: 0},
+		{Default: 3, MulDiv: -7, Mem: 11, Sandbox: -2, ChkCall: 40, Call: -1, CallK: 90, RegionCheck: 5},
+		{Default: -1, MulDiv: 25, Mem: 1, Sandbox: 9, ChkCall: -12, Call: 7, CallK: -35, RegionCheck: -4},
+	}
+	for i, costs := range models {
+		for name, img := range buildAll(t, translateWorkload) {
+			cfg := Config{Kernel: mixKernel(), HookEvery: 40, Hook: func(int64) {}, Costs: &costs, MaxCycles: 1 << 20}
+			if err := ExecDiff(img, cfg, nil, "main"); err != nil {
+				t.Fatalf("model %d, %s: %v", i, name, err)
+			}
+		}
+	}
+}
+
+// BenchmarkEngines times both engines on three shapes of graft: the
+// read-filter XOR loop (memory-bound, compartment checks), the chaos
+// harness's runaway loop stopped by a watchdog hook after 1M cycles,
+// and the SFI sweep loop (pushes, pops and a JMP-closed loop). It
+// reports host ns per executed GIR instruction.
+func BenchmarkEngines(b *testing.B) {
+	type stop struct{}
+	xor, _, err := BuildCompartmentedOptimized(`
+.name xor
+.func main
+main:
+    mov r2, r10
+    addi r3, r10, 8192
+    movi r4, 1024
+    movi r5, 0x5A5A5A5A
+loop:
+    ld r6, [r2+0]
+    xor r6, r6, r5
+    st [r3+0], r6
+    addi r2, r2, 8
+    addi r3, r3, 8
+    addi r4, r4, -1
+    jnz r4, loop
+    ret
+`, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spin, _, err := BuildSafe(spinSrc, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep, _, err := BuildCompartmented(`
+.name sweep
+.func main
+main:
+    movi r3, 0
+    movi r4, 1000
+loop:
+    cmplt r5, r3, r4
+    jz r5, done
+    st [r10+0], r3
+    ld r6, [r10+0]
+    push r6
+    pop r7
+    addi r3, r3, 1
+    jmp loop
+done:
+    halt
+`, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		img  *Image
+	}{{"xor", xor}, {"spin", spin}, {"sweep", sweep}} {
+		for _, translate := range []bool{false, true} {
+			engine := "interp"
+			if translate {
+				engine = "translated"
+			}
+			b.Run(w.name+"/"+engine, func(b *testing.B) {
+				var spent int64
+				vm, err := NewVM(w.img, Config{Translate: translate, Hook: func(c int64) {
+					if spent += c; spent >= 1_000_000 {
+						panic(stop{}) // the watchdog: only the runaway gets here
+					}
+				}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					spent = 0
+					func() {
+						defer func() {
+							if r := recover(); r != nil && r != (stop{}) {
+								panic(r)
+							}
+						}()
+						if _, err := vm.Call("main"); err != nil {
+							b.Fatal(err)
+						}
+					}()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(vm.Steps()), "ns/instr")
+			})
+		}
 	}
 }

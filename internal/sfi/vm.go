@@ -86,7 +86,7 @@ type Config struct {
 	// Kernel maps symbol names to implementations; every symbol the
 	// image imports must resolve.
 	Kernel map[string]KernelFunc
-	// Translate compiles the image to native Go closures at VM
+	// Translate compiles the image to pre-decoded basic blocks at VM
 	// construction (see translate.go) instead of interpreting GIR per
 	// step. Semantics are bit-identical — the interpreter remains the
 	// oracle — only host wall-clock changes.
@@ -94,7 +94,7 @@ type Config struct {
 	// Program installs an already-translated program (the registry's
 	// install-time cache). Its TranslationKey must match the image:
 	// NewVM refuses a stale or foreign program rather than executing
-	// closures compiled from different code.
+	// blocks compiled from different code.
 	Program *Program
 }
 
@@ -119,11 +119,12 @@ type VM struct {
 	layout    *Layout
 	grants    []grantWindow
 	nextGrant int
-	// Translated engine state: prog is the closure chain (nil =
-	// interpret), costTab the cycle model indexed by opcode so closures
-	// skip the cost switch.
-	prog    *Program
-	costTab [opCount]int64
+	// Translated engine state: prog is the block program (nil =
+	// interpret), costTab the cycle model indexed by opcode, and
+	// blockCosts every block's price under it.
+	prog       *Program
+	costTab    [opCount]int64
+	blockCosts []blockCost
 	// Grant-window audit: accesses that only an active grant allowed,
 	// keyed by the region the window lives in. Both engines funnel
 	// grant-satisfied checks through regionCheck, so the counters are
@@ -223,6 +224,9 @@ func NewVM(img *Image, cfg Config) (*VM, error) {
 		}
 		vm.prog = p
 	}
+	if vm.prog != nil {
+		vm.blockCosts = vm.prog.blockCosts(&vm.costTab)
+	}
 	return vm, nil
 }
 
@@ -268,19 +272,6 @@ func (vm *VM) charge(c int64) {
 	}
 }
 
-// tick is the translated engine's per-instruction accounting: the
-// exact steps/charge/fuel sequence the interpreter's loop head
-// performs, in the same order, so preemption hooks flush and the fuel
-// limit trips at identical instants on both engines.
-func (vm *VM) tick(c int64) error {
-	vm.steps++
-	vm.charge(c)
-	if vm.maxCyc > 0 && vm.total > vm.maxCyc {
-		return fmt.Errorf("%w: %d cycles", ErrCycleLimit, vm.total)
-	}
-	return nil
-}
-
 func (vm *VM) flush() {
 	if vm.hook != nil && vm.pending > 0 {
 		p := vm.pending
@@ -321,7 +312,10 @@ func (vm *VM) Call(entry string, args ...int64) (int64, error) {
 	if vm.prog != nil {
 		runErr = vm.prog.run(vm, pc)
 	} else {
-		runErr = vm.run(pc)
+		_, runErr = vm.interp(pc, -1)
+	}
+	if runErr == errDone {
+		runErr = nil
 	}
 	if runErr != nil {
 		return 0, runErr
@@ -330,10 +324,10 @@ func (vm *VM) Call(entry string, args ...int64) (int64, error) {
 }
 
 // Translated reports whether this VM dispatches through the translated
-// closure program rather than the interpreter.
+// block program rather than the interpreter.
 func (vm *VM) Translated() bool { return vm.prog != nil }
 
-// TranslatedProgram returns the installed closure program (nil when
+// TranslatedProgram returns the installed block program (nil when
 // interpreting).
 func (vm *VM) TranslatedProgram() *Program { return vm.prog }
 
@@ -368,20 +362,70 @@ func (vm *VM) store(pc int, ins Instr, addr int64, n int, v int64) error {
 
 const maxShadowDepth = 1024
 
-func (vm *VM) run(pc int) error {
+// errDone signals a clean return from the entry frame (RET with an
+// empty shadow stack, or HALT). It never escapes VM.Call.
+var errDone = errors.New("sfi: program done")
+
+// pushReturn pushes the return address of the call at pc; false means
+// the shadow stack is full.
+func (vm *VM) pushReturn(pc int) bool {
+	if len(vm.shadow) >= maxShadowDepth {
+		return false
+	}
+	vm.shadow = append(vm.shadow, pc+1)
+	return true
+}
+
+// Traps both engines raise, given the rendered instruction: the
+// interpreter renders it when it traps, a translated program once at
+// translation.
+func divByZero(pc int, ins string) error {
+	return &Violation{PC: pc, Ins: ins, Detail: "division by zero"}
+}
+
+func callOverflow(pc int, ins string) error {
+	return &Violation{PC: pc, Ins: ins, Detail: "call stack overflow"}
+}
+
+func unregisteredTarget(pc int, ins string, target int64) error {
+	return &Violation{PC: pc, Ins: ins, Detail: fmt.Sprintf("indirect call to unregistered target %d", target)}
+}
+
+// callKernel executes the CALLK at pc: flush the pending cycles, call
+// kernel symbol idx with r1..r5, and put its result in r0.
+func (vm *VM) callKernel(pc, idx int) error {
+	if idx < 0 || idx >= len(vm.kernel) {
+		return &Violation{PC: pc, Ins: vm.img.Code[pc].String(), Detail: "kernel symbol index out of range"}
+	}
+	vm.flush() // kernel time is accounted separately by the callee
+	var args [5]int64
+	copy(args[:], vm.regs[1:6])
+	res, err := vm.kernel[idx](vm, args)
+	if err != nil {
+		return fmt.Errorf("sfi: kernel call %s failed: %w", vm.img.Symbols[idx], err)
+	}
+	vm.regs[0] = res
+	return nil
+}
+
+// interp is the interpreter: it executes up to n instructions from pc
+// (all of them when n < 0) and returns the next pc, or errDone once the
+// entry frame returns. The translated engine runs single instructions
+// through it wherever a whole block cannot be charged at once.
+func (vm *VM) interp(pc, n int) (int, error) {
 	code := vm.img.Code
-	for {
+	for ; n != 0; n-- {
 		if pc < 0 || pc >= len(code) {
 			if vm.img.Safe {
-				return &Violation{PC: pc, Ins: "?", Detail: "control flow left the code segment"}
+				return 0, &Violation{PC: pc, Ins: "?", Detail: "control flow left the code segment"}
 			}
-			return &CrashError{PC: pc, Ins: "?", Detail: "control flow left the code segment"}
+			return 0, &CrashError{PC: pc, Ins: "?", Detail: "control flow left the code segment"}
 		}
 		ins := code[pc]
 		vm.steps++
 		vm.charge(vm.costs.cost(ins.Op))
 		if vm.maxCyc > 0 && vm.total > vm.maxCyc {
-			return fmt.Errorf("%w: %d cycles", ErrCycleLimit, vm.total)
+			return 0, fmt.Errorf("%w: %d cycles", ErrCycleLimit, vm.total)
 		}
 		r := &vm.regs
 		switch ins.Op {
@@ -398,12 +442,12 @@ func (vm *VM) run(pc int) error {
 			r[ins.Rd] = r[ins.Rs1] * r[ins.Rs2]
 		case DIV:
 			if r[ins.Rs2] == 0 {
-				return &Violation{PC: pc, Ins: ins.String(), Detail: "division by zero"}
+				return 0, divByZero(pc, ins.String())
 			}
 			r[ins.Rd] = r[ins.Rs1] / r[ins.Rs2]
 		case MOD:
 			if r[ins.Rs2] == 0 {
-				return &Violation{PC: pc, Ins: ins.String(), Detail: "division by zero"}
+				return 0, divByZero(pc, ins.String())
 			}
 			r[ins.Rd] = r[ins.Rs1] % r[ins.Rs2]
 		case AND:
@@ -442,86 +486,76 @@ func (vm *VM) run(pc int) error {
 		case LD:
 			v, err := vm.load(pc, ins, r[ins.Rs1]+ins.Imm, 8)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			r[ins.Rd] = v
 		case LDB:
 			v, err := vm.load(pc, ins, r[ins.Rs1]+ins.Imm, 1)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			r[ins.Rd] = v
 		case ST:
 			if err := vm.store(pc, ins, r[ins.Rs1]+ins.Imm, 8, r[ins.Rs2]); err != nil {
-				return err
+				return 0, err
 			}
 		case STB:
 			if err := vm.store(pc, ins, r[ins.Rs1]+ins.Imm, 1, r[ins.Rs2]); err != nil {
-				return err
+				return 0, err
 			}
 		case PUSH:
 			r[RegSP] -= 8
 			if err := vm.store(pc, ins, r[RegSP], 8, r[ins.Rs1]); err != nil {
-				return err
+				return 0, err
 			}
 		case POP:
 			v, err := vm.load(pc, ins, r[RegSP], 8)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			r[ins.Rd] = v
 			r[RegSP] += 8
 		case CALL:
-			if len(vm.shadow) >= maxShadowDepth {
-				return &Violation{PC: pc, Ins: ins.String(), Detail: "call stack overflow"}
+			if !vm.pushReturn(pc) {
+				return 0, callOverflow(pc, ins.String())
 			}
-			vm.shadow = append(vm.shadow, pc+1)
 			pc = int(ins.Imm)
 			continue
 		case CALLR:
-			if len(vm.shadow) >= maxShadowDepth {
-				return &Violation{PC: pc, Ins: ins.String(), Detail: "call stack overflow"}
+			if !vm.pushReturn(pc) {
+				return 0, callOverflow(pc, ins.String())
 			}
-			vm.shadow = append(vm.shadow, pc+1)
 			pc = int(r[ins.Rs1])
 			continue
 		case CALLK:
-			idx := int(ins.Imm)
-			if idx < 0 || idx >= len(vm.kernel) {
-				return &Violation{PC: pc, Ins: ins.String(), Detail: "kernel symbol index out of range"}
+			if err := vm.callKernel(pc, int(ins.Imm)); err != nil {
+				return 0, err
 			}
-			vm.flush() // kernel time is accounted separately by the callee
-			var args [5]int64
-			copy(args[:], r[1:6])
-			res, err := vm.kernel[idx](vm, args)
-			if err != nil {
-				return fmt.Errorf("sfi: kernel call %s failed: %w", vm.img.Symbols[idx], err)
-			}
-			r[0] = res
 		case RET:
 			if len(vm.shadow) == 0 {
-				return nil
+				return 0, errDone
 			}
 			pc = vm.shadow[len(vm.shadow)-1]
 			vm.shadow = vm.shadow[:len(vm.shadow)-1]
 			continue
 		case HALT:
-			return nil
+			return 0, errDone
 		case SANDBOX:
 			r[ins.Rd] = int64(vm.segBase | (uint64(r[ins.Rd]) & (vm.segSize - 1)))
 		case CHKR, CHKW, CHKS:
 			if err := vm.regionCheck(pc, ins); err != nil {
-				return err
+				return 0, err
 			}
 		case CHKCALL:
 			if !vm.table.Contains(r[ins.Rs1]) {
-				return &Violation{PC: pc, Ins: ins.String(), Detail: fmt.Sprintf("indirect call to unregistered target %d", r[ins.Rs1])}
+				return 0, unregisteredTarget(pc, ins.String(), r[ins.Rs1])
 			}
 		default:
-			return &Violation{PC: pc, Ins: ins.String(), Detail: "illegal opcode"}
+			return 0, &Violation{PC: pc, Ins: ins.String(), Detail: "illegal opcode"}
 		}
 		pc++
 	}
+	return pc, nil
 }
 
 // regionCheck executes CHKR/CHKW/CHKS: trap unless one region (or, for
