@@ -567,11 +567,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 		for _, pct := range []int{1, 10, 100} {
 			b.Run(fmt.Sprintf("%s/dirty=%d%%", mode.name, pct), func(b *testing.B) {
 				k := kernel.New(kernel.Config{
-					Timeslice:          time.Hour,
-					ZeroTxnCosts:       true,
-					CheckpointEvery:    time.Hour, // explicit captures only
-					CheckpointFullCopy: mode.fullCopy,
+					Timeslice:       time.Hour,
+					ZeroTxnCosts:    true,
+					CheckpointEvery: time.Hour, // explicit captures only
 				})
+				k.Crash.SetIncremental(!mode.fullCopy)
 				fsys := vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), nblocks+64)
 				fsys.Create("bench-db", nblocks*vfs.BlockSize, graft.Root, false)
 				stride := 1
@@ -625,7 +625,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // TestPublicFacade smoke-tests the root package aliases.
 func TestPublicFacade(t *testing.T) {
-	k := vino.NewKernel(vino.Config{ZeroTxnCosts: true})
+	k := vino.New(func(c *vino.Config) { c.ZeroTxnCosts = true })
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 64)
 	fsys.Create("f", vino.BlockSize, 100, true)
 	ran := false

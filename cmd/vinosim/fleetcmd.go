@@ -6,9 +6,9 @@ package main
 // rings, and walks abusive tenants up the escalation ladder. Prints the
 // per-instance and per-tenant accounting tables; exits non-zero if the
 // fleet audit finds a violation. The report is byte-identical for a
-// fixed (-seed, -instances, -tenants) at any -workers, which is what
-// -report is for: write the summary to a file and cmp it across pool
-// sizes in CI.
+// fixed (-seed, -instances, -tenants) at any -workers
+// (TestFleetDeterminism); -report writes it to a file for comparing
+// runs by hand.
 
 import (
 	"flag"
@@ -29,7 +29,7 @@ func cmdFleet(args []string) int {
 	workers := fs.Int("workers", 1, "worker-pool size (wall-clock only; the report is identical at any value)")
 	crashFlag := fs.Bool("crash", true, "arm seed-derived kernel panics on every instance")
 	dir := fs.String("dir", "", "durable checkpoint-ring root (empty = a temp dir removed on exit)")
-	report := fs.String("report", "", "also write the summary to this file (for CI determinism cmp)")
+	report := fs.String("report", "", "also write the summary to this file")
 	fs.Parse(args)
 
 	res, err := vino.RunFleet(vino.FleetConfig{

@@ -5,8 +5,9 @@ package main
 // runtime with the kernel-memory and read-only-region sentinel audits
 // intact; the command exits non-zero on any escape or on a case that
 // slipped past its expected layer. The report is byte-identical for a
-// fixed -seed at any -workers, which is what -report is for: write the
-// summary to a file and cmp it across pool sizes in CI.
+// fixed -seed at any -workers and on either VM engine
+// (TestReportDeterministicAcrossWorkers, TestReportIdenticalAcrossEngines);
+// -report writes it to a file for comparing runs by hand.
 
 import (
 	"flag"
@@ -20,12 +21,10 @@ func cmdRedTeam(args []string) int {
 	fs := flag.NewFlagSet("vinosim redteam", flag.ExitOnError)
 	seed := fs.Int64("seed", 7, "sentinel-pattern seed (the case set is seed-independent)")
 	workers := fs.Int("workers", 1, "worker-pool size (wall-clock only; the report is identical at any value)")
-	report := fs.String("report", "", "also write the summary to this file (for CI determinism cmp)")
-	translate := onOffFlag(true)
-	fs.Var(&translate, "translate", "run contained cases on the translated block engine (off = interpret; the report is byte-identical either way)")
+	report := fs.String("report", "", "also write the summary to this file")
 	fs.Parse(args)
 
-	res := vino.RunRedTeam(vino.RedTeamConfig{Seed: *seed, Workers: *workers, Translate: bool(translate)})
+	res := vino.RunRedTeam(vino.RedTeamConfig{Seed: *seed, Workers: *workers})
 	sum := res.Summary()
 	fmt.Print(sum)
 	if *report != "" {

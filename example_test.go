@@ -11,7 +11,7 @@ import (
 // replace its read-ahead policy with a graft, and survive replacing it
 // with one that misbehaves.
 func ExampleKernel() {
-	k := vino.NewKernel(vino.Config{})
+	k := vino.New()
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 256)
 	fsys.Create("data", 16*vino.BlockSize, 100, false)
 
@@ -65,17 +65,17 @@ main:
 	// evil graft removed: true
 }
 
-// ExampleBuildSafeGraft shows the toolchain rejecting what the loader
-// would never run and the kernel refusing what the toolchain did not
-// sign.
-func ExampleBuildSafeGraft() {
-	k := vino.NewKernel(vino.Config{})
+// ExampleToolchain_Build_safe shows the toolchain rejecting what the
+// loader would never run and the kernel refusing what the toolchain did
+// not sign.
+func ExampleToolchain_Build_safe() {
+	k := vino.New()
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 64)
 	fsys.Create("f", vino.BlockSize, 100, false)
 	k.SpawnProcess("app", 100, func(p *vino.Process) {
 		of, _ := fsys.Open(p.Thread, "f")
 		// Signed by an attacker, not the kernel's toolchain key.
-		forged, err := vino.BuildSafeGraft(".name x\n.func main\nmain:\n ret", nil)
+		forged, err := vino.Toolchain{}.Build(".name x\n.func main\nmain:\n ret", vino.BuildOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -83,7 +83,7 @@ func ExampleBuildSafeGraft() {
 		fmt.Println("unsigned image:", err != nil)
 
 		// Built by the kernel's own signer: loads fine.
-		good, err := vino.BuildSafeGraft(".name x\n.func main\nmain:\n movi r0, 0\n ret", k.Signer)
+		good, err := vino.ToolchainFor(k).Build(".name x\n.func main\nmain:\n movi r0, 0\n ret", vino.BuildOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -98,9 +98,9 @@ func ExampleBuildSafeGraft() {
 	// signed image loads: true
 }
 
-// ExampleBuildOptimizedGraft shows the MiSFIT optimizer discharging
-// every check of a constant-offset graft.
-func ExampleBuildOptimizedGraft() {
+// ExampleToolchain_Build_optimized shows the MiSFIT optimizer
+// discharging every check of a constant-offset graft.
+func ExampleToolchain_Build_optimized() {
 	src := `
 .name static
 .func main
@@ -109,8 +109,8 @@ main:
     ld r0, [r10+64]
     ret
 `
-	naive, _ := vino.BuildSafeGraft(src, nil)
-	opt, _ := vino.BuildOptimizedGraft(src, nil)
+	naive, _ := vino.Toolchain{}.Build(src, vino.BuildOptions{})
+	opt, _ := vino.Toolchain{}.Build(src, vino.BuildOptions{Optimize: true})
 	fmt.Printf("naive rewrite: %d instructions\n", len(naive.Code))
 	fmt.Printf("optimized:     %d instructions\n", len(opt.Code))
 	// Output:

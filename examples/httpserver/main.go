@@ -55,7 +55,7 @@ main:
 `
 
 func main() {
-	k := vino.NewKernel(vino.Config{})
+	k := vino.New()
 	n := vino.NewNet(k)
 	web := n.Listen("tcp", 80)
 	buggy := n.Listen("tcp", 8080)

@@ -32,7 +32,7 @@ main:
 func main() {
 	// A kernel: virtual clock, preemptible scheduler, lock manager,
 	// transaction manager, graft registry.
-	k := vino.NewKernel(vino.Config{})
+	k := vino.New()
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 4096)
 	fsys.Create("data", 64*vino.BlockSize, 100, false)
 

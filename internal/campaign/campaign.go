@@ -168,9 +168,9 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{Config: cfg, Coverage: make(map[string]*SigStat)}
 
 	shards := cfg.Shards
-	prev := make([]*fault.Plan, shards)   // previous generation, by shard
+	prev := make([]*fault.Plan, shards)    // previous generation, by shard
 	lineage := make([]*fault.Plan, shards) // current generation's parents (nil = fresh)
-	var parents []*fault.Plan             // plans credited with novel signatures
+	var parents []*fault.Plan              // plans credited with novel signatures
 	novelPlan := make(map[string]*fault.Plan)
 	dirtySeen := make(map[string]bool)
 

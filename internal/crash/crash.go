@@ -18,7 +18,8 @@
 // of entries forming one chain: the oldest entry holds full per-
 // subsystem snapshots (the base) and each later entry holds only the
 // state changed since its predecessor, as reported by subsystems that
-// implement DeltaSnapshotter. Chains are consolidated — deltas folded
+// implement DeltaSnapshotter; a plain Snapshotter is copied in full at
+// every capture. Chains are consolidated — deltas folded
 // into the base — on restore, on ring eviction, and past a length
 // threshold, so both checkpoint capture and repeated restores cost
 // O(state changed) rather than O(total kernel state).
@@ -211,7 +212,11 @@ type Snapshotter interface {
 // Manager issues generation numbers: every checkpoint capture is
 // stamped with the generation current at capture time (see Gen), and
 // subsystems stamp their mutations with Gen() so a later CrashDelta can
-// report exactly the state touched since a previous capture.
+// report exactly the state touched since a previous capture. Only state
+// with a real per-item delta implements it (the kernel log tail, file
+// blocks, frame-table pages); a subsystem whose image is small or
+// interlinked stays a plain Snapshotter, and the Manager takes a full
+// copy of it at every capture.
 //
 // The contract mirrors CrashSnapshot's: deltas are deep copies taken at
 // quiescent points. Over-reporting (including an unchanged item at its
@@ -340,11 +345,9 @@ func (m *Manager) Ring() int { return m.ring }
 
 // SetIncremental switches between incremental (base + delta chain) and
 // full-copy capture. Restored state is byte-identical either way; only
-// the capture cost differs.
+// the capture cost differs, so only the checkpoint-cost sweep, the
+// checkpoint benchmark and the differential tests turn it off.
 func (m *Manager) SetIncremental(on bool) { m.incremental = on }
-
-// Incremental reports whether captures are incremental.
-func (m *Manager) Incremental() bool { return m.incremental }
 
 // SetMaxChain sets the delta-chain length threshold; values below one
 // are clamped to one.

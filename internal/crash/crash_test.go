@@ -275,9 +275,14 @@ func TestRingRotationAndConsolidation(t *testing.T) {
 	m.SetRing(3)
 	f := newDeltaSub("d", m.Gen)
 	m.Register(f)
+	// A plain Snapshotter beside it: every entry holds its full copy,
+	// and folding must keep the newer one.
+	p := &fakeSub{name: "p"}
+	m.Register(p)
 
 	for i := 1; i <= 5; i++ {
 		f.set(i, i*10)
+		p.val = i
 		m.TakeCheckpoint()
 		clock.Advance(time.Millisecond)
 	}
@@ -294,6 +299,9 @@ func TestRingRotationAndConsolidation(t *testing.T) {
 	}
 	if len(f.vals) != 3 || f.vals[1] != 10 || f.vals[3] != 30 {
 		t.Fatalf("restored vals = %v", f.vals)
+	}
+	if p.val != 3 {
+		t.Fatalf("restored snapshotter val = %d, want 3", p.val)
 	}
 	// Entries newer than the restore target are discarded.
 	if m.Checkpoints() != 1 {
@@ -345,27 +353,36 @@ func TestChainThresholdConsolidates(t *testing.T) {
 }
 
 // TestFullIncrementalEquivalence runs the same mutation script under
-// full-copy and incremental capture and demands identical restores.
+// full-copy and incremental capture and demands identical restores, for
+// a DeltaSnapshotter and a plain Snapshotter registered side by side.
 func TestFullIncrementalEquivalence(t *testing.T) {
-	run := func(incremental bool) map[int]int {
+	run := func(incremental bool) (map[int]int, int) {
 		clock := simclock.New(0)
 		m := NewManager(clock, nil, time.Millisecond)
 		m.SetIncremental(incremental)
 		m.SetRing(3)
 		f := newDeltaSub("d", m.Gen)
 		m.Register(f)
+		p := &fakeSub{name: "p"}
+		m.Register(p)
 		for i := 0; i < 10; i++ {
 			f.set(i%4, i*100)
+			p.val = i
 			m.TakeCheckpoint()
+			p.val = -i // a post-checkpoint write only a restore undoes
 			clock.Advance(time.Millisecond)
 			if i == 6 {
 				m.Restore()
+				if p.val != 6 {
+					t.Fatalf("incremental=%v: restore gave snapshotter val %d, want 6", incremental, p.val)
+				}
 			}
 		}
 		m.RestoreBefore(8500 * time.Microsecond)
-		return f.vals
+		return f.vals, p.val
 	}
-	full, incr := run(false), run(true)
+	full, fullP := run(false)
+	incr, incrP := run(true)
 	if len(full) != len(incr) {
 		t.Fatalf("full=%v incremental=%v", full, incr)
 	}
@@ -373,6 +390,9 @@ func TestFullIncrementalEquivalence(t *testing.T) {
 		if incr[k] != v {
 			t.Fatalf("key %d: full=%d incremental=%d", k, v, incr[k])
 		}
+	}
+	if fullP != 8 || incrP != 8 {
+		t.Fatalf("snapshotter restored to full=%d incremental=%d, want 8", fullP, incrP)
 	}
 }
 

@@ -376,11 +376,16 @@ func (in *instance) tenantCount() int {
 
 func (in *instance) port(ti int) int { return 8000 + ti }
 
+// handlerName returns tenant ti's service image name at its current
+// image generation.
+func (in *instance) handlerName(ti int) string {
+	return fmt.Sprintf("svc-%s-g%d", tenantName(in.cfg, ti), in.gens[ti])
+}
+
 // handlerSrc returns tenant ti's service source at its current image
 // generation.
 func (in *instance) handlerSrc(ti int) (name, src string) {
-	tn := tenantName(in.cfg, ti)
-	name = fmt.Sprintf("svc-%s-g%d", tn, in.gens[ti])
+	name = in.handlerName(ti)
 	if in.cfg.Abusive && ti == in.cfg.Tenants {
 		return name, gobbleSrc(name)
 	}
@@ -476,6 +481,11 @@ func (in *instance) installMissing() {
 		tn := tenantName(in.cfg, ti)
 		if !in.treg.CanInstall(tn) {
 			continue
+		}
+		// The supervisor bars an expelled image's key for good, so a
+		// reinstall needs the next generation's image name.
+		if in.k.Guard.Barred(port.Point().Name + "#" + in.handlerName(ti)) {
+			in.gens[ti]++
 		}
 		name, src := in.handlerSrc(ti)
 		todo = append(todo, job{ti, name, src})

@@ -94,6 +94,41 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetReinstallAfterExpulsion: at seed 110 (CLI defaults) the
+// supervisor expels instance 1's abusive service, whose key stays
+// barred, and the port goes dark. The reinstall must come up under the
+// next image generation rather than be refused, so the audit is clean,
+// and the report is the same at any worker count.
+func TestFleetReinstallAfterExpulsion(t *testing.T) {
+	run := func(workers int) *Result {
+		res, err := Run(Config{
+			Seed:        110,
+			Instances:   2,
+			Tenants:     2,
+			Abusive:     true,
+			Rounds:      6,
+			Arrivals:    4,
+			Workers:     workers,
+			CrashFaults: true,
+			Dir:         t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(1), run(4)
+	if !a.Clean() {
+		t.Fatalf("audit violations:\n%s", strings.Join(a.Violations, "\n"))
+	}
+	if a.Instances[1].Expulsions == 0 {
+		t.Fatalf("instance 1 expelled nothing; the seed no longer exercises a reinstall:\n%s", a.Summary())
+	}
+	if a.Summary() != b.Summary() {
+		t.Fatalf("summary differs between workers=1 and workers=4:\n--- workers=1\n%s\n--- workers=4\n%s", a.Summary(), b.Summary())
+	}
+}
+
 // TestFleetNoFaults: with the crash plane dark the fleet still
 // replaces each instance at its scheduled death round, and every
 // well-behaved request is served.

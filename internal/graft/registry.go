@@ -60,8 +60,9 @@ type Registry struct {
 	// to pre-decoded basic blocks, forcing every graft onto the interpreter
 	// oracle. Translation is on by default: it is observably identical
 	// (same traps, same cycle accounting, same trace events) and only
-	// host wall-clock differs. Unsafe images always interpret — the
-	// "unsafe path" baseline measures the raw interpreter.
+	// host wall-clock differs, so only differential tests set this, before
+	// the first install. Unsafe images always interpret — the "unsafe
+	// path" baseline measures the raw interpreter.
 	NoTranslate bool
 
 	// Trace, when set, receives graft lifecycle events (the kernel's
@@ -87,10 +88,6 @@ type Registry struct {
 	// contained abort into a fatal error.
 	EscalateViolations bool
 
-	// GenSource, when set, supplies the crash manager's checkpoint
-	// generation so membership churn can be dirty-flagged.
-	GenSource func() uint64
-
 	callables map[string]Callable
 	points    map[string]*Point
 	installed map[*Installed]bool
@@ -109,16 +106,7 @@ type Registry struct {
 	// reinstall with different code can never be paired with a stale
 	// program — sfi.NewVM re-checks the key on top of that).
 	transCache map[string]*sfi.Program
-	modGen     uint64 // generation of the last membership change
 	stats      Stats
-}
-
-// stampMembership marks the point/install membership as modified in
-// the current checkpoint generation.
-func (r *Registry) stampMembership() {
-	if r.GenSource != nil {
-		r.modGen = r.GenSource()
-	}
 }
 
 // emit records a trace event at the current virtual time.
@@ -181,7 +169,6 @@ func (r *Registry) RegisterPoint(p *Point) *Point {
 	}
 	p.reg = r
 	r.points[p.Name] = p
-	r.stampMembership()
 	r.flushPending(p)
 	return p
 }
@@ -200,7 +187,6 @@ func (r *Registry) UnregisterPoint(name string) {
 		r.remove(h)
 	}
 	delete(r.points, name)
-	r.stampMembership()
 }
 
 // Lookup finds a graft point by name: the handle-obtaining step of
@@ -373,7 +359,7 @@ func (r *Registry) link(g *Installed) error {
 	}
 	// Install-time translation: verified images are compiled to basic
 	// blocks once per distinct image and shared across installs.
-	// The interpreter remains the oracle (-translate=off / NoTranslate).
+	// The interpreter remains the oracle (NoTranslate).
 	var prog *sfi.Program
 	if img.Safe && !r.NoTranslate {
 		key := sfi.TranslationKey(img)
@@ -424,7 +410,6 @@ func (r *Registry) attach(g *Installed) {
 		r.meterAccounts = make(map[*resource.Account]bool)
 	}
 	r.meterAccounts[g.Account] = true
-	r.stampMembership()
 }
 
 // Remove detaches a graft voluntarily (application teardown).
@@ -456,7 +441,6 @@ func (r *Registry) remove(g *Installed) {
 	}
 	g.removed = true
 	delete(r.installed, g)
-	r.stampMembership()
 	p := g.Point
 	if p.grafted == g {
 		p.grafted = nil
@@ -817,22 +801,6 @@ func (r *Registry) CrashRestore(snap any) {
 		p.handlers = append([]*Installed(nil), hs...)
 	}
 }
-
-// CrashDelta implements crash.DeltaSnapshotter: membership only moves
-// on point registration and graft install/remove, so a quiet registry
-// reports nil and the checkpoint keeps the previous image. A changed
-// registry snapshots in full — membership is interlinked (points ↔
-// installed ↔ handlers) and far smaller than file or page state.
-func (r *Registry) CrashDelta(sinceGen uint64) any {
-	if r.GenSource != nil && r.modGen <= sinceGen {
-		return nil
-	}
-	return r.CrashSnapshot()
-}
-
-// CrashMerge implements crash.DeltaSnapshotter: a non-nil delta is a
-// full image and replaces the base.
-func (r *Registry) CrashMerge(base, delta any) any { return delta }
 
 // graftRecord is one installed graft's durable image: the signed image
 // bytes, its binding (point, entry, owner, order) and its resource

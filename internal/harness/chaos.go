@@ -86,11 +86,6 @@ type ChaosConfig struct {
 	// from a delayed-detection panic can rewind past the newest
 	// checkpoint to one predating the taint.
 	CheckpointRing int
-	// CheckpointFullCopy disables incremental (base + delta chain)
-	// capture and deep-copies every subsystem at every checkpoint.
-	// Restored state and trace dumps are byte-identical either way;
-	// the switch exists for cost comparison and regression A/Bs.
-	CheckpointFullCopy bool
 	// CrashRulesPerSite is how many Panic rules are derived per crash
 	// site (default 2) when Crash is set and no explicit Plan is given.
 	CrashRulesPerSite int
@@ -116,12 +111,12 @@ type ChaosConfig struct {
 	// inside the chaos kernel to prove sfi-violation containment under
 	// load. Off by default, keeping existing golden dumps byte-identical.
 	RedTeam bool
-	// NoTranslate runs every graft on the interpreting VM engine
-	// instead of the install-time native-Go translation. Reports and
-	// trace dumps are byte-identical either way — that equivalence is a
-	// CI invariant — so the switch exists for oracle A/B runs and
-	// wall-clock comparisons.
-	NoTranslate bool
+
+	// tune, when set, adjusts the kernel right after kernel.New. The
+	// differential tests use it to select a reference path — full-copy
+	// checkpoints, the interpreting VM engine — whose trace dumps must
+	// match the default's byte for byte.
+	tune func(*kernel.Kernel)
 }
 
 func (cfg ChaosConfig) withDefaults() ChaosConfig {
@@ -388,16 +383,17 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		NumCPUs:     cfg.NCPU,
 		FaultPlan:   plan,
 		GuardPolicy: cfg.Guard,
-		NoTranslate: cfg.NoTranslate,
 	}
 	if cfg.Crash && !cfg.NoRecover {
 		kcfg.CheckpointEvery = cfg.CheckpointEvery
 		kcfg.CheckpointRing = cfg.CheckpointRing
-		kcfg.CheckpointFullCopy = cfg.CheckpointFullCopy
 		kcfg.RecoverScope = cfg.RecoverScope
 		kcfg.CheckpointDir = cfg.CheckpointDir
 	}
 	k := kernel.New(kcfg)
+	if cfg.tune != nil {
+		cfg.tune(k)
+	}
 	c := &chaosRun{cfg: cfg, k: k, report: &ChaosReport{Plan: plan}}
 	if cfg.VaryInstalls {
 		c.instRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5EED_1057A11))

@@ -45,10 +45,10 @@ type checkpointCostEnv struct {
 
 func newCheckpointCostEnv(nblocks int, fullCopy bool) (*checkpointCostEnv, error) {
 	k := kernel.New(kernel.Config{
-		Timeslice:          time.Hour,
-		CheckpointEvery:    time.Hour, // explicit Checkpoint() only
-		CheckpointFullCopy: fullCopy,
+		Timeslice:       time.Hour,
+		CheckpointEvery: time.Hour, // explicit Checkpoint() only
 	})
+	k.Crash.SetIncremental(!fullCopy)
 	e := &checkpointCostEnv{k: k, file: "ckpt-db"}
 	e.fsys = vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), nblocks+64)
 	e.fsys.Create(e.file, int64(nblocks)*vfs.BlockSize, graft.Root, false)

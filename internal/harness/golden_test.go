@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vino/internal/kernel"
 )
 
 // The golden files under testdata/ were captured from the single-CPU
@@ -84,35 +86,30 @@ func TestGoldenChaosDump(t *testing.T) {
 }
 
 // TestGoldenCrashDump pins the crash phase's determinism artifact and
-// proves the incremental-checkpoint engine is invisible in it: a run
-// with full-copy captures (the pre-delta behaviour) must reproduce the
-// incremental golden byte for byte — only capture cost may differ
-// between the modes, never a trace or a summary.
+// proves the default engines are invisible in it: runs with full-copy
+// checkpoint captures (the pre-delta behaviour) and with every graft on
+// the interpreting VM must reproduce the golden byte for byte — only
+// host cost may differ between the modes, never a trace or a summary.
 func TestGoldenCrashDump(t *testing.T) {
-	cfg := ChaosConfig{Seed: 7, Extended: true, Crash: true}
-	incr, err := RunChaos(cfg)
-	if err != nil {
-		t.Fatalf("RunChaos: %v", err)
-	}
-	if !incr.Survived() {
-		t.Fatalf("crash run did not survive:\n%s", incr.Summary())
-	}
-	goldenCompare(t, "crash-seed7.summary", incr.Summary())
-	goldenCompare(t, "crash-seed7.dump", incr.TraceDump)
-
-	fcfg := cfg
-	fcfg.CheckpointFullCopy = true
-	full, err := RunChaos(fcfg)
-	if err != nil {
-		t.Fatalf("RunChaos (full copy): %v", err)
-	}
-	if full.TraceDump != incr.TraceDump {
-		t.Error("full-copy trace dump diverged from incremental")
-		reportFirstDiff(t, full.TraceDump, incr.TraceDump)
-	}
-	if full.Summary() != incr.Summary() {
-		t.Errorf("full-copy summary diverged from incremental:\n%s\n---\n%s",
-			full.Summary(), incr.Summary())
+	for _, tc := range []struct {
+		name string
+		tune func(*kernel.Kernel)
+	}{
+		{"incremental", nil},
+		{"full-copy", func(k *kernel.Kernel) { k.Crash.SetIncremental(false) }},
+		{"interpreted", func(k *kernel.Kernel) { k.Grafts.NoTranslate = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunChaos(ChaosConfig{Seed: 7, Extended: true, Crash: true, tune: tc.tune})
+			if err != nil {
+				t.Fatalf("RunChaos: %v", err)
+			}
+			if !rep.Survived() {
+				t.Fatalf("crash run did not survive:\n%s", rep.Summary())
+			}
+			goldenCompare(t, "crash-seed7.summary", rep.Summary())
+			goldenCompare(t, "crash-seed7.dump", rep.TraceDump)
+		})
 	}
 }
 

@@ -38,7 +38,7 @@ func (c *chaosRun) phaseRedTeam() error {
 	// Layer 1: the standalone corpus. Every case must land exactly on
 	// its expected layer; an escape or a downgraded rejection is an
 	// invariant violation like any other.
-	res := redteam.Run(redteam.Config{Seed: c.cfg.Seed, Translate: !c.cfg.NoTranslate})
+	res := redteam.Run(redteam.Config{Seed: c.cfg.Seed})
 	c.report.RedTeam = res
 	for _, v := range res.Verdicts {
 		if !v.OK() {

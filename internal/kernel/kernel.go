@@ -51,11 +51,6 @@ type Config struct {
 	UnsafeGrafts bool
 	// VMCosts overrides the graft VM cycle model.
 	VMCosts *sfi.Costs
-	// NoTranslate forces every graft onto the interpreting VM engine.
-	// By default verified images are compiled to pre-decoded basic blocks
-	// at install time — observably identical (same traps, same virtual-time
-	// cycle accounting, same traces), only host wall-clock differs.
-	NoTranslate bool
 	// TraceDepth sizes the kernel flight recorder (default 256 events).
 	TraceDepth int
 	// Seed drives deterministic pseudo-random decisions (fault plans,
@@ -88,11 +83,6 @@ type Config struct {
 	// non-zero Panic.TaintedAt) restore the newest checkpoint predating
 	// the taint. Zero or one keeps only the newest checkpoint.
 	CheckpointRing int
-	// CheckpointFullCopy disables incremental (base + delta chain)
-	// checkpoint capture and deep-copies every subsystem on every
-	// checkpoint. Restored state and traces are byte-identical either
-	// way; the switch exists for cost comparison and regression A/Bs.
-	CheckpointFullCopy bool
 	// RecoverScope selects what a contained kernel panic rolls back:
 	// RecoverScopeKernel (the default, and the zero value) restores the
 	// whole checkpoint image and rewinds virtual time; RecoverScopeGraft
@@ -182,7 +172,6 @@ func New(cfg Config) *Kernel {
 	reg := graft.NewRegistry(clock, txns, signer)
 	reg.UnsafeAllowed = cfg.UnsafeGrafts
 	reg.Costs = cfg.VMCosts
-	reg.NoTranslate = cfg.NoTranslate
 	tr := trace.New(cfg.TraceDepth)
 	reg.Trace = tr
 	locks.Trace = tr
@@ -218,13 +207,9 @@ func New(cfg Config) *Kernel {
 		reg.EscalateViolations = true
 		k.Crash = crash.NewManager(clock, tr, cfg.CheckpointEvery)
 		k.Crash.SetRing(cfg.CheckpointRing)
-		k.Crash.SetIncremental(!cfg.CheckpointFullCopy)
 		if cfg.CheckpointDir != "" {
 			k.Crash.SetPersistDir(cfg.CheckpointDir)
 		}
-		// Dirty stamps for incremental capture.
-		locks.GenSource = k.Crash.Gen
-		reg.GenSource = k.Crash.Gen
 		// Registration order is restore order: raw kernel state first,
 		// then the subsystems layered on it.
 		k.Crash.Register(k)

@@ -159,12 +159,8 @@ type Manager struct {
 	// Faults, when set, is consulted at the lock-release crash site.
 	// Nil-safe and free unless the injector's crash gate is armed.
 	Faults *fault.Injector
-	// GenSource, when set, supplies the crash manager's checkpoint
-	// generation so lock-table growth can be dirty-flagged.
-	GenSource func() uint64
 
 	locks        []*Lock // every lock ever created, for invariant audits
-	modGen       uint64  // generation of the last lock-table change
 	stats        Stats
 	lastDeadlock []WaitEdge
 }
@@ -264,9 +260,6 @@ func (m *Manager) NewLock(name string, c *Class) *Lock {
 	}
 	l := &Lock{name: name, class: c, m: m, holders: make(map[*sched.Thread]*hold)}
 	m.locks = append(m.locks, l)
-	if m.GenSource != nil {
-		m.modGen = m.GenSource()
-	}
 	return l
 }
 
@@ -690,21 +683,6 @@ func (m *Manager) CrashRestore(snap any) {
 		l.waiters = nil
 	}
 }
-
-// CrashDelta implements crash.DeltaSnapshotter: the lock image is the
-// table population alone, which only changes when a lock is created,
-// so an unchanged table reports nil and the checkpoint keeps the
-// previous image.
-func (m *Manager) CrashDelta(sinceGen uint64) any {
-	if m.GenSource != nil && m.modGen <= sinceGen {
-		return nil
-	}
-	return m.CrashSnapshot()
-}
-
-// CrashMerge implements crash.DeltaSnapshotter: a non-nil delta is a
-// full image and replaces the base.
-func (m *Manager) CrashMerge(base, delta any) any { return delta }
 
 // lockExport is the lock manager's durable image. Locks themselves are
 // owned by the subsystems that create them (files, address spaces, the

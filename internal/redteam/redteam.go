@@ -470,11 +470,12 @@ type Config struct {
 	// Workers bounds concurrency (default 1). Wall-clock only: the
 	// report is byte-identical at any value.
 	Workers int
-	// Translate runs contained cases on the translated block engine
-	// instead of the interpreter. Reports are byte-identical either way
-	// — the translated checks must trap with the exact same errors —
-	// so CI can cmp reports across engines.
-	Translate bool
+
+	// interpret runs contained cases on the interpreter instead of the
+	// translated block engine. Reports are byte-identical either way —
+	// the translated checks must trap with the exact same errors — and
+	// the cross-engine tests hold the two to that.
+	interpret bool
 }
 
 // Verdict is one case's result.
@@ -540,7 +541,7 @@ func Run(cfg Config) *Result {
 	for w := 0; w < cfg.Workers; w++ {
 		go func() {
 			for id := range jobs {
-				verdicts[id] = runCase(cases[id], mix(cfg.Seed, int64(id)), cfg.Translate)
+				verdicts[id] = runCase(cases[id], mix(cfg.Seed, int64(id)), !cfg.interpret)
 			}
 			done <- struct{}{}
 		}()

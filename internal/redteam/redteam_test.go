@@ -9,9 +9,10 @@ import (
 
 // TestCorpusClean is the tentpole claim: every adversarial image is
 // rejected by the verifier or contained at runtime, with the kernel
-// memory and read-only region audits intact. Zero escapes.
+// memory and read-only region audits intact. Zero escapes. The run
+// uses the interpreter, the oracle the translated engine is held to.
 func TestCorpusClean(t *testing.T) {
-	res := Run(Config{Seed: 7})
+	res := Run(Config{Seed: 7, interpret: true})
 	if !res.Clean() {
 		t.Fatalf("corpus not clean:\n%s", res.Summary())
 	}
@@ -52,10 +53,10 @@ func TestCorpusCoversBothLayers(t *testing.T) {
 }
 
 // TestCorpusCleanTranslated: the same zero-escape bar holds when the
-// contained cases run on the translated closure engine — translation
-// must not open a single hole the interpreter closes.
+// contained cases run on the translated block engine, the default —
+// translation must not open a single hole the interpreter closes.
 func TestCorpusCleanTranslated(t *testing.T) {
-	res := Run(Config{Seed: 7, Translate: true})
+	res := Run(Config{Seed: 7})
 	if !res.Clean() {
 		t.Fatalf("corpus not clean under translation:\n%s", res.Summary())
 	}
@@ -66,18 +67,19 @@ func TestCorpusCleanTranslated(t *testing.T) {
 
 // TestReportIdenticalAcrossEngines: the report is byte-identical whether
 // the corpus runs interpreted or translated — every trap fires at the
-// same layer with the same detail. This is the CI cross-engine cmp in
-// library form.
+// same layer with the same detail.
 func TestReportIdenticalAcrossEngines(t *testing.T) {
-	interp := Run(Config{Seed: 7}).Summary()
-	trans := Run(Config{Seed: 7, Translate: true}).Summary()
-	if interp != trans {
-		t.Fatalf("engine reports diverge:\n--- interpreted\n%s\n--- translated\n%s", interp, trans)
+	for _, seed := range []int64{7, 42} {
+		interp := Run(Config{Seed: seed, interpret: true}).Summary()
+		trans := Run(Config{Seed: seed}).Summary()
+		if interp != trans {
+			t.Fatalf("seed %d: engine reports diverge:\n--- interpreted\n%s\n--- translated\n%s", seed, interp, trans)
+		}
 	}
 }
 
 // TestReportDeterministicAcrossWorkers: the summary is byte-identical
-// at any worker-pool size — the CI determinism cmp in library form.
+// at any worker-pool size.
 func TestReportDeterministicAcrossWorkers(t *testing.T) {
 	base := Run(Config{Seed: 42, Workers: 1}).Summary()
 	for _, w := range []int{2, 4, 8} {

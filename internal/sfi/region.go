@@ -26,10 +26,10 @@ type Perm uint8
 
 // Region permissions.
 const (
-	PermNone Perm = 0
-	PermRead Perm = 1 << 0
+	PermNone  Perm = 0
+	PermRead  Perm = 1 << 0
 	PermWrite Perm = 1 << 1
-	PermRW Perm = PermRead | PermWrite
+	PermRW    Perm = PermRead | PermWrite
 )
 
 func (p Perm) String() string {

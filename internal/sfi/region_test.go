@@ -31,7 +31,7 @@ func TestLayoutValidate(t *testing.T) {
 		t.Fatalf("minimum-segment default layout invalid: %v", err)
 	}
 	bad := []Layout{
-		{SegSize: 64 << 10},                                       // no regions
+		{SegSize: 64 << 10}, // no regions
 		{SegSize: 1000, Regions: DefaultLayout(64 << 10).Regions}, // not power of two / too small
 		{SegSize: 64 << 10, Regions: []Region{ // overlapping
 			{Name: "heap", Kind: RegionHeap, Off: 0, Size: 4096, Perm: PermRW},

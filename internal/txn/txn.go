@@ -209,15 +209,6 @@ func (m *Manager) CrashImport(data []byte) error {
 	return nil
 }
 
-// CrashDelta implements crash.DeltaSnapshotter as the sanctioned
-// full-copy fallback: the manager's checkpointable state is a handful
-// of counters, cheaper to copy than to dirty-track.
-func (m *Manager) CrashDelta(sinceGen uint64) any { return m.CrashSnapshot() }
-
-// CrashMerge implements crash.DeltaSnapshotter: the delta is a full
-// image, so it simply replaces the base.
-func (m *Manager) CrashMerge(base, delta any) any { return delta }
-
 const localKey = "txn.current"
 
 // Current returns the innermost active transaction associated with the
