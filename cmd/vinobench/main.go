@@ -13,6 +13,7 @@
 //	vinobench -sweep smp -ncpu 8   # sweep 1,2,4,8 simulated CPUs
 //	vinobench -sweep checkpoint    # incremental vs full-copy capture cost
 //	vinobench -sweep recovery      # whole-kernel vs per-graft domain recovery cost
+//	vinobench -sweep sfi           # SFI check cost; exit 1 if translation misses its 2x gate
 //	vinobench -sweep campaign      # chaos-campaign runs/sec vs worker-pool size
 //	vinobench -sweep campaign -workers 8 -runs 64
 //	vinobench -sweep fleet         # fleet requests/sec vs instance and tenant count
@@ -163,10 +164,13 @@ func main() {
 				if err := enc.Encode(res); err != nil {
 					fail(err)
 				}
-				return
+			} else {
+				fmt.Println(res)
+				fmt.Println(res.HostSummary())
 			}
-			fmt.Println(res)
-			fmt.Println(res.HostSummary())
+			if oi, ot, ok := res.Overhead(); !ok {
+				fail(fmt.Errorf("sfi gate failed: translated compartment overhead %.1f ns/access is not at most half the interpreted %.1f", ot, oi))
+			}
 		case "campaign":
 			var counts []int
 			for n := 1; n <= *workers; n *= 2 {

@@ -51,14 +51,15 @@ type diskManifest struct {
 }
 
 // SetPersistDir enables durable checkpoints under dir (created if
-// missing). Persistence failures do not disturb the in-memory ring;
-// the last error is retained for PersistErr.
-func (m *Manager) SetPersistDir(dir string) error {
+// missing). Persistence failures, including a directory that cannot be
+// created, do not disturb the in-memory ring; the last error is
+// retained for PersistErr.
+func (m *Manager) SetPersistDir(dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		m.persistErr = fmt.Errorf("crash: checkpoint dir: %w", err)
+		return
 	}
 	m.persistDir = dir
-	return nil
 }
 
 // PersistDir returns the durable-checkpoint directory ("" when

@@ -443,9 +443,11 @@ func (fs *FS) CrashAudit() []string {
 	return bad
 }
 
-// Fsck audits the file system's structural invariants. It is meant to
-// run at quiescent points (after a Run round, or after crash recovery);
-// the returned slice is empty when the image is consistent.
+// Fsck audits the file system's structural invariants: the descriptor
+// table, then CrashAudit's any-instant checks, then the LRU index and
+// quiescence. It is meant to run at quiescent points (after a Run
+// round, or after crash recovery); the returned slice is empty when
+// the image is consistent.
 func (fs *FS) Fsck() []string {
 	var bad []string
 	fds := make([]int, 0, len(fs.fdTable))
@@ -478,28 +480,7 @@ func (fs *FS) Fsck() []string {
 			seen[b] = true
 		}
 	}
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := fs.files[n]
-		for b, d := range f.dirty {
-			if b < 0 || b >= f.Blocks() {
-				bad = append(bad, fmt.Sprintf("file %q: dirty block %d outside file", n, b))
-			}
-			if len(d) != BlockSize {
-				bad = append(bad, fmt.Sprintf("file %q: dirty block %d has %d bytes", n, b, len(d)))
-			}
-		}
-	}
-	if fs.cache.lru.Len() != len(fs.cache.byLBA) {
-		bad = append(bad, fmt.Sprintf("cache: lru holds %d blocks, index %d", fs.cache.lru.Len(), len(fs.cache.byLBA)))
-	}
-	if fs.cache.lru.Len() > fs.cache.capacity {
-		bad = append(bad, fmt.Sprintf("cache: %d blocks resident, capacity %d", fs.cache.lru.Len(), fs.cache.capacity))
-	}
+	bad = append(bad, fs.CrashAudit()...)
 	for e := fs.cache.lru.Front(); e != nil; e = e.Next() {
 		ent := e.Value.(*cacheEntry)
 		if got, ok := fs.cache.byLBA[ent.lba]; !ok || got != e {

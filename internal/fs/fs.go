@@ -668,7 +668,7 @@ func (fs *FS) registerCallables() {
 		if err != nil {
 			return 0, err
 		}
-		if err := kernel.WriteGraftBytes(ctx.VM, ptr, buf[:got]); err != nil {
+		if err := ctx.VM.CopyOut(ptr, buf[:got]); err != nil {
 			return 0, err
 		}
 		return int64(got), nil

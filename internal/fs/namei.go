@@ -12,6 +12,7 @@ package fs
 // security enforcement modules are never graftable.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -169,7 +170,7 @@ func (fs *FS) Resolve(t *sched.Thread, path string) (string, error) {
 		if len(p) > ResolveMaxLen {
 			return "", fmt.Errorf("fs: path too long for translation: %d", len(p))
 		}
-		poke64Heap(heap, ResolveInLen, int64(len(p)))
+		binary.LittleEndian.PutUint64(heap[ResolveInLen:], uint64(len(p)))
 		copy(heap[ResolveIn:ResolveIn+ResolveMaxLen], make([]byte, ResolveMaxLen))
 		copy(heap[ResolveIn:], p)
 		n, err := point.Invoke(t, int64(len(p)))
@@ -215,13 +216,6 @@ func (fs *FS) CreateAt(path string, size int64, owner graft.UID, public bool) (*
 		return nil, err
 	}
 	return fs.Create(p, size, owner, public), nil
-}
-
-// poke64Heap is the little-endian store used for graft protocol fields.
-func poke64Heap(heap []byte, off int, v int64) {
-	for i := 0; i < 8; i++ {
-		heap[off+i] = byte(uint64(v) >> (8 * i))
-	}
 }
 
 // RegisterAccessControlPoint registers the taxonomy's access-control

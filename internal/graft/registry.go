@@ -54,8 +54,6 @@ type Registry struct {
 	// KernelMem is the simulated kernel memory placed below each graft's
 	// segment (scribble target for unsafe experiments).
 	KernelMem int
-	// Costs overrides the VM cycle model (nil = sfi.DefaultCosts).
-	Costs *sfi.Costs
 	// NoTranslate disables install-time translation of verified images
 	// to pre-decoded basic blocks, forcing every graft onto the interpreter
 	// oracle. Translation is on by default: it is observably identical
@@ -379,7 +377,6 @@ func (r *Registry) link(g *Installed) error {
 	vm, err := sfi.NewVM(img, sfi.Config{
 		SegSize:   r.SegSize,
 		KernelMem: r.KernelMem,
-		Costs:     r.Costs,
 		Kernel:    kernelFns,
 		Program:   prog,
 		Hook: func(cycles int64) {

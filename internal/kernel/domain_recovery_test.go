@@ -502,6 +502,28 @@ func TestAuditTaintWidensAndRollsBack(t *testing.T) {
 	}
 }
 
+// TestCheckpointDirFailureReported: a checkpoint directory that cannot
+// be created (its parent is a regular file) leaves durability off, and
+// PersistErr says so instead of the checkpoint silently staying in RAM.
+func TestCheckpointDirFailureReported(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(kernel.Config{
+		ZeroTxnCosts:    true,
+		CheckpointEvery: time.Hour,
+		CheckpointDir:   filepath.Join(file, "cp"),
+	})
+	k.Checkpoint()
+	if dir := k.Crash.PersistDir(); dir != "" {
+		t.Errorf("PersistDir = %q, want durability off", dir)
+	}
+	if err := k.Crash.PersistErr(); err == nil {
+		t.Error("PersistErr = nil for a checkpoint directory that cannot be created")
+	}
+}
+
 // TestCheckpointPersistRoundTrip: with a checkpoint directory
 // configured, the ring reaches stable storage — a fresh kernel in a
 // fresh process restores the exported state (file contents, transaction

@@ -30,8 +30,6 @@ import (
 
 // Config parameterises a kernel instance. The zero value is usable.
 type Config struct {
-	// Hz is the simulated CPU frequency (default: the paper's 120 MHz).
-	Hz int64
 	// NumCPUs is the simulated CPU count (default 1, the paper's single
 	// Pentium). With more CPUs the scheduler keeps one run queue and one
 	// virtual-time frontier per CPU; execution stays deterministic.
@@ -41,7 +39,8 @@ type Config struct {
 	SignKey []byte
 	// Timeslice overrides the 10 ms scheduling quantum.
 	Timeslice time.Duration
-	// SwitchCost overrides the per-dispatch CPU charge.
+	// SwitchCost is the CPU charge per thread dispatch. It defaults to
+	// zero; sched.DefaultSwitchCost is the calibrated value.
 	SwitchCost time.Duration
 	// ZeroTxnCosts disables the paper-calibrated virtual-time costs for
 	// transaction operations (useful in logic-only tests).
@@ -49,8 +48,6 @@ type Config struct {
 	// UnsafeGrafts permits Root to install unrewritten images — for the
 	// measurement harness and misbehavior demos only.
 	UnsafeGrafts bool
-	// VMCosts overrides the graft VM cycle model.
-	VMCosts *sfi.Costs
 	// TraceDepth sizes the kernel flight recorder (default 256 events).
 	TraceDepth int
 	// Seed drives deterministic pseudo-random decisions (fault plans,
@@ -147,7 +144,7 @@ type Kernel struct {
 
 // New builds a kernel.
 func New(cfg Config) *Kernel {
-	clock := simclock.New(cfg.Hz)
+	clock := simclock.New(simclock.DefaultHz)
 	s := sched.New(clock)
 	if cfg.NumCPUs > 1 {
 		s.SetNumCPUs(cfg.NumCPUs)
@@ -155,9 +152,7 @@ func New(cfg Config) *Kernel {
 	if cfg.Timeslice > 0 {
 		s.SetTimeslice(cfg.Timeslice)
 	}
-	if cfg.SwitchCost >= 0 {
-		s.SwitchCost = cfg.SwitchCost
-	}
+	s.SwitchCost = cfg.SwitchCost
 	locks := lock.NewManager(clock)
 	txns := txn.NewManager()
 	if cfg.ZeroTxnCosts {
@@ -171,7 +166,6 @@ func New(cfg Config) *Kernel {
 	signer := sfi.NewSigner(key)
 	reg := graft.NewRegistry(clock, txns, signer)
 	reg.UnsafeAllowed = cfg.UnsafeGrafts
-	reg.Costs = cfg.VMCosts
 	tr := trace.New(cfg.TraceDepth)
 	reg.Trace = tr
 	locks.Trace = tr
@@ -649,11 +643,11 @@ func (p *Process) BuildAndInstall(pointName, src string, opts graft.InstallOptio
 // graft regardless of subsystem.
 func (k *Kernel) registerBaseCallables() {
 	// vino.log(ptr, len): append a message from the graft heap to the
-	// kernel log. Demonstrates checked pointer arguments: the callable
-	// validates the range against the graft's own segment, exactly the
-	// argument checking the paper demands of graft-callable functions.
+	// kernel log. Demonstrates checked pointer arguments: the copy reads
+	// with the graft's own rights, exactly the argument checking the
+	// paper demands of graft-callable functions.
 	k.Grafts.RegisterCallable("vino.log", func(ctx *graft.Ctx, args [5]int64) (int64, error) {
-		data, err := readGraftBytes(ctx.VM, args[0], args[1])
+		data, err := ctx.VM.CopyIn(args[0], args[1])
 		if err != nil {
 			return 0, err
 		}
@@ -745,29 +739,3 @@ func (k *Kernel) registerFaultCallables() {
 // FaultHoardLock returns the kernel-owned lock the fault library's
 // hoard grafts contend on (nil when no fault plan is configured).
 func (k *Kernel) FaultHoardLock() *lock.Lock { return k.hoardLock }
-
-// readGraftBytes validates that [addr, addr+n) lies inside the graft's
-// segment and returns a copy.
-func readGraftBytes(vm *sfi.VM, addr, n int64) ([]byte, error) {
-	base, size := int64(vm.HeapBase()), int64(vm.HeapSize())
-	if n < 0 || n > size || addr < base || addr+n > base+size {
-		return nil, fmt.Errorf("kernel: graft pointer [%d,%d) outside its segment [%d,%d)", addr, addr+n, base, base+size)
-	}
-	off := addr - base
-	return append([]byte(nil), vm.Heap()[off:off+n]...), nil
-}
-
-// ReadGraftBytes is the exported checked accessor for subsystems.
-func ReadGraftBytes(vm *sfi.VM, addr, n int64) ([]byte, error) { return readGraftBytes(vm, addr, n) }
-
-// WriteGraftBytes copies data into the graft segment at addr after the
-// same range check.
-func WriteGraftBytes(vm *sfi.VM, addr int64, data []byte) error {
-	base, size := int64(vm.HeapBase()), int64(vm.HeapSize())
-	n := int64(len(data))
-	if addr < base || addr+n > base+size {
-		return fmt.Errorf("kernel: graft pointer [%d,%d) outside its segment [%d,%d)", addr, addr+n, base, base+size)
-	}
-	copy(vm.Heap()[addr-base:], data)
-	return nil
-}

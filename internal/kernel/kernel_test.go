@@ -321,31 +321,3 @@ func TestKernelLogTimestamped(t *testing.T) {
 		t.Fatalf("log = %v", logs)
 	}
 }
-
-func TestReadWriteGraftBytesBounds(t *testing.T) {
-	img, _, err := sfi.BuildSafe(".name b\n.func main\nmain:\n ret", sfi.NewSigner([]byte("k")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := sfi.NewVM(img, sfi.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := int64(vm.HeapBase())
-	if err := WriteGraftBytes(vm, base+10, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGraftBytes(vm, base+10, 3)
-	if err != nil || string(got) != "abc" {
-		t.Fatalf("got %q err %v", got, err)
-	}
-	if _, err := ReadGraftBytes(vm, base-1, 3); err == nil {
-		t.Fatal("read below segment allowed")
-	}
-	if _, err := ReadGraftBytes(vm, base+int64(vm.HeapSize())-1, 3); err == nil {
-		t.Fatal("read past segment end allowed")
-	}
-	if err := WriteGraftBytes(vm, 0, []byte("x")); err == nil {
-		t.Fatal("write into kernel memory allowed")
-	}
-}

@@ -265,7 +265,7 @@ func (n *Net) registerCallables() {
 			maxLen = avail
 		}
 		data := c.in[c.readPos : c.readPos+int(maxLen)]
-		if err := kernel.WriteGraftBytes(ctx.VM, args[1], data); err != nil {
+		if err := ctx.VM.CopyOut(args[1], data); err != nil {
 			return 0, err
 		}
 		prev := c.readPos
@@ -290,7 +290,7 @@ func (n *Net) registerCallables() {
 			n.releaseSockets(c)
 			return 0, ferr
 		}
-		data, err := kernel.ReadGraftBytes(ctx.VM, args[1], args[2])
+		data, err := ctx.VM.CopyIn(args[1], args[2])
 		if err != nil {
 			return 0, err
 		}

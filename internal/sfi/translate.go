@@ -500,11 +500,12 @@ func (b *block) trap(vm *VM, pos int32, err error) error {
 }
 
 // inSpans is the fused fast path of a region check: [off,off+width)
-// wholly inside one permitted region. Anything else — out of segment,
+// wholly inside one permitted region, the answer permit's region step
+// gives, precomputed per check class. Anything else — out of segment,
 // straddling, grant-only, denied — falls back to VM.regionCheck, which
-// resolves grants and constructs the interpreter's exact trap.
+// decides it under permit and constructs the interpreter's exact trap.
 func inSpans(spans []span, off, width, segSize int64) bool {
-	if off < 0 || off+width > segSize {
+	if off < 0 || width > segSize-off {
 		return false
 	}
 	for _, s := range spans {

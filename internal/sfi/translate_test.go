@@ -191,6 +191,19 @@ main:
 	}
 }
 
+// wrappedOffsetSrc runs access on r1 = MinInt64 + segBase - 1, the
+// address whose segment offset (r1 - segBase) wraps to MaxInt64.
+func wrappedOffsetSrc(access string) string {
+	return ".name wrap\n.func main\nmain:\n movi r1, -9223372036854775807\n add r1, r1, r10\n addi r1, r1, -2\n " + access + "\n ret"
+}
+
+// grantShare opens a read-write grant over the whole default share
+// region.
+func grantShare(vm *VM) error {
+	_, err := vm.Grant(40960, 8192, PermRW)
+	return err
+}
+
 func TestTranslateTrapParity(t *testing.T) {
 	signer := NewSigner([]byte("translate-test"))
 	type trapCase struct {
@@ -263,6 +276,25 @@ func TestTranslateTrapParity(t *testing.T) {
 				vm.RevokeGrants()
 				return nil // the measured call replays against a dead grant
 			},
+		},
+		// r1 = MinInt64 + segBase - 1, whose segment offset wraps to
+		// MaxInt64: out of segment, with or without an open grant.
+		{
+			name:  "wrapped-offset-load",
+			img:   mk(t, BuildCompartmented, wrappedOffsetSrc("ld r0, [r1+0]")),
+			entry: "main", check: "outside the compartment segment",
+		},
+		{
+			name:  "wrapped-offset-load-granted",
+			img:   mk(t, BuildCompartmented, wrappedOffsetSrc("ld r0, [r1+0]")),
+			entry: "main", check: "outside the compartment segment",
+			prep: grantShare,
+		},
+		{
+			name:  "wrapped-offset-store-granted",
+			img:   mk(t, BuildCompartmented, wrappedOffsetSrc("st [r1+0], r2")),
+			entry: "main", check: "outside the compartment segment",
+			prep: grantShare,
 		},
 		{
 			name:  "pop-underflow",

@@ -20,9 +20,10 @@ type Violation struct {
 	Ins    string
 	Detail string
 	// Compartment marks a per-region bounds/permission trap (CHKR/CHKW/
-	// CHKS): the graft tried to read or write memory its compartment
-	// layout denies. The dispatch layer escalates these into classified
-	// sfi-violation kernel panics when crash containment is armed.
+	// CHKS, or a kernel copy made with the graft's rights): the graft
+	// tried to read or write memory its compartment layout denies. The
+	// dispatch layer escalates these into classified sfi-violation
+	// kernel panics when crash containment is armed.
 	Compartment bool
 }
 
@@ -114,6 +115,7 @@ type VM struct {
 	steps   int64
 	maxCyc  int64
 	kernel  []KernelFunc
+	kcall   int // pc of the CALLK being served, named by copy traps
 	table   *CallTable
 	// Compartment state (nil layout = classic flat sandbox).
 	layout    *Layout
@@ -126,9 +128,9 @@ type VM struct {
 	costTab    [opCount]int64
 	blockCosts []blockCost
 	// Grant-window audit: accesses that only an active grant allowed,
-	// keyed by the region the window lives in. Both engines funnel
-	// grant-satisfied checks through regionCheck, so the counters are
-	// engine-independent.
+	// keyed by the region the window lives in. Both engines and the
+	// kernel's copies funnel grant-satisfied accesses through permit,
+	// so the counters are engine-independent.
 	grantReads  map[string]int64
 	grantWrites map[string]int64
 }
@@ -239,8 +241,10 @@ func (vm *VM) HeapBase() uint64 { return vm.segBase }
 // HeapSize returns the sandbox segment size.
 func (vm *VM) HeapSize() uint64 { return vm.segSize }
 
-// Heap exposes the graft's segment for the kernel to seed inputs and
-// read results (the simulated shared buffer of §4.1.2).
+// Heap is the kernel's trusted, unchecked view of the graft's segment,
+// for exports and staging at offsets the kernel chooses itself (the
+// shared buffer of §4.1.2). A buffer the graft names — a pointer passed
+// to a graft-callable function — goes through CopyIn/CopyOut instead.
 func (vm *VM) Heap() []byte { return vm.arena[vm.segBase:] }
 
 // KernelMemory exposes the simulated kernel memory below the segment.
@@ -398,6 +402,7 @@ func (vm *VM) callKernel(pc, idx int) error {
 		return &Violation{PC: pc, Ins: vm.img.Code[pc].String(), Detail: "kernel symbol index out of range"}
 	}
 	vm.flush() // kernel time is accounted separately by the callee
+	vm.kcall = pc
 	var args [5]int64
 	copy(args[:], vm.regs[1:6])
 	res, err := vm.kernel[idx](vm, args)
@@ -558,44 +563,59 @@ func (vm *VM) interp(pc, n int) (int, error) {
 	return pc, nil
 }
 
-// regionCheck executes CHKR/CHKW/CHKS: trap unless one region (or, for
-// data checks, one active grant) wholly contains [rd, rd+Imm) with the
-// required permission. CHKS additionally demands the region be the
-// stack, confining pushes to it.
+// regionCheck executes CHKR/CHKW/CHKS under permit's rule.
 func (vm *VM) regionCheck(pc int, ins Instr) error {
-	viol := func(detail string) error {
-		return &Violation{PC: pc, Ins: ins.String(), Detail: detail, Compartment: true}
-	}
-	if vm.layout == nil {
-		return viol("region check in an image without a compartment layout")
-	}
-	addr := vm.regs[ins.Rd]
-	width := ins.Imm
-	if width != 1 && width != 8 {
-		return viol(fmt.Sprintf("bad check width %d", width))
-	}
-	off := addr - int64(vm.segBase)
-	if off < 0 || off+width > vm.layout.SegSize {
-		return viol(fmt.Sprintf("access of %d bytes at address %d outside the compartment segment", width, addr))
-	}
-	need := PermRead
-	if ins.Op == CHKW || ins.Op == CHKS {
-		need = PermWrite
-	}
-	reg := vm.layout.Find(off, width)
-	if ins.Op == CHKS {
-		if reg == nil || reg.Kind != RegionStack {
-			return viol(fmt.Sprintf("stack write at segment offset %d escapes the stack region", off))
+	detail := ""
+	switch {
+	case vm.layout == nil:
+		detail = "region check in an image without a compartment layout"
+	case ins.Imm != 1 && ins.Imm != 8:
+		detail = fmt.Sprintf("bad check width %d", ins.Imm)
+	default:
+		need := PermWrite
+		if ins.Op == CHKR {
+			need = PermRead
 		}
+		detail = vm.permit(vm.regs[ins.Rd], ins.Imm, need, ins.Op == CHKS)
 	}
-	if reg != nil && reg.Perm&need == need {
+	if detail == "" {
 		return nil
 	}
-	if ins.Op != CHKS {
+	return &Violation{PC: pc, Ins: ins.String(), Detail: detail, Compartment: true}
+}
+
+// permit is the one rule for memory accessed with the graft's rights:
+// its own CHKR/CHKW/CHKS, and the kernel's CopyIn/CopyOut on its
+// behalf. [addr, addr+width) must lie in the segment, checked without
+// overflow. Under a compartment layout it must also lie wholly in one
+// region whose permission includes need or, failing that, in one
+// active grant window that does; a stack access (CHKS) must hit the
+// stack region and never uses a grant. An access only a grant allowed
+// is credited to the grant audit. It returns "" when the access is
+// allowed, else the trap detail.
+func (vm *VM) permit(addr, width int64, need Perm, stack bool) string {
+	off := addr - int64(vm.segBase)
+	if seg := int64(vm.segSize); width < 0 || off < 0 || off > seg || width > seg-off {
+		if vm.layout == nil {
+			return fmt.Sprintf("access of %d bytes at address %d outside the graft segment", width, addr)
+		}
+		return fmt.Sprintf("access of %d bytes at address %d outside the compartment segment", width, addr)
+	}
+	if vm.layout == nil || width == 0 {
+		return ""
+	}
+	reg := vm.layout.Find(off, width)
+	if stack && (reg == nil || reg.Kind != RegionStack) {
+		return fmt.Sprintf("stack write at segment offset %d escapes the stack region", off)
+	}
+	if reg != nil && reg.Perm&need == need {
+		return ""
+	}
+	if !stack {
 		for _, g := range vm.grants {
-			if off >= g.off && off+width <= g.off+g.size && g.perm&need == need {
+			if off >= g.off && width <= g.size && off-g.off <= g.size-width && g.perm&need == need {
 				vm.noteGrantUse(off, width, need)
-				return nil
+				return ""
 			}
 		}
 	}
@@ -604,9 +624,41 @@ func (vm *VM) regionCheck(pc int, ins Instr) error {
 		what = "write"
 	}
 	if reg != nil {
-		return viol(fmt.Sprintf("%s of %d bytes at segment offset %d denied by region %q (%s, %s)", what, width, off, reg.Name, reg.Kind, reg.Perm))
+		return fmt.Sprintf("%s of %d bytes at segment offset %d denied by region %q (%s, %s)", what, width, off, reg.Name, reg.Kind, reg.Perm)
 	}
-	return viol(fmt.Sprintf("%s of %d bytes at segment offset %d hits no region or active grant", what, width, off))
+	return fmt.Sprintf("%s of %d bytes at segment offset %d hits no region or active grant", what, width, off)
+}
+
+// CopyIn returns a copy of the n bytes at graft address addr: how a
+// graft-callable kernel function reads a buffer the graft passed it,
+// with the graft's own rights (permit, as for a CHKR). A refused copy
+// is a *Violation at the CALLK being served, marked Compartment under
+// a layout, so it aborts and escalates like the graft's own trap.
+func (vm *VM) CopyIn(addr, n int64) ([]byte, error) {
+	if err := vm.copyCheck("copyin", addr, n, PermRead); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), vm.arena[addr:addr+n]...), nil
+}
+
+// CopyOut writes data at graft address addr with the graft's own
+// rights: a kernel write made for the graft can do no more than the
+// graft's own store. It fails like CopyIn and then writes nothing.
+func (vm *VM) CopyOut(addr int64, data []byte) error {
+	if err := vm.copyCheck("copyout", addr, int64(len(data)), PermWrite); err != nil {
+		return err
+	}
+	copy(vm.arena[addr:], data)
+	return nil
+}
+
+// copyCheck applies permit to a kernel copy. A graft address is also
+// its arena index, so a passed check proves arena[addr:addr+n] in bounds.
+func (vm *VM) copyCheck(op string, addr, n int64, need Perm) error {
+	if detail := vm.permit(addr, n, need, false); detail != "" {
+		return &Violation{PC: vm.kcall, Ins: op, Detail: detail, Compartment: vm.layout != nil}
+	}
+	return nil
 }
 
 // noteGrantUse tallies an access that only an active grant window

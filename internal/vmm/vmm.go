@@ -11,6 +11,7 @@ package vmm
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -590,15 +591,9 @@ func writeCandidates(g *graft.Installed, candidates []int64) {
 	if candidateOffset+8+len(candidates)*8 > len(heap) {
 		candidates = candidates[:(len(heap)-candidateOffset-8)/8]
 	}
-	poke64(heap, candidateOffset, int64(len(candidates)))
+	binary.LittleEndian.PutUint64(heap[candidateOffset:], uint64(len(candidates)))
 	for i, c := range candidates {
-		poke64(heap, candidateOffset+8+8*i, c)
-	}
-}
-
-func poke64(heap []byte, off int, v int64) {
-	for i := 0; i < 8; i++ {
-		heap[off+i] = byte(uint64(v) >> (8 * i))
+		binary.LittleEndian.PutUint64(heap[candidateOffset+8+8*i:], uint64(c))
 	}
 }
 

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -88,9 +89,9 @@ func installEvictGraft(t *testing.T, p *kernel.Process, vas *VAS, hot []int64) *
 		t.Fatalf("install evict graft: %v", err)
 	}
 	heap := g.VM().Heap()
-	poke64(heap, 0, int64(len(hot)))
+	binary.LittleEndian.PutUint64(heap, uint64(len(hot)))
 	for i, h := range hot {
-		poke64(heap, 8+8*i, h)
+		binary.LittleEndian.PutUint64(heap[8+8*i:], uint64(h))
 	}
 	return g
 }
