@@ -297,7 +297,6 @@ type Manager struct {
 	subs        []Snapshotter
 	entries     []*checkpoint // entries[0] is the full base; invariant: !entries[0].delta
 	ring        int
-	maxChain    int
 	incremental bool
 	seq         int64
 	gen         uint64
@@ -316,7 +315,6 @@ func NewManager(clock *simclock.Clock, tr *trace.Buffer, every time.Duration) *M
 		tr:          tr,
 		every:       every,
 		ring:        1,
-		maxChain:    DefaultMaxChain,
 		incremental: true,
 		gen:         1,
 		stats:       Stats{ByClass: make(map[Class]int64)},
@@ -326,9 +324,6 @@ func NewManager(clock *simclock.Clock, tr *trace.Buffer, every time.Duration) *M
 // Register adds a subsystem to the checkpoint set. Registration order
 // is restore order; register dependencies first.
 func (m *Manager) Register(s Snapshotter) { m.subs = append(m.subs, s) }
-
-// Every returns the configured cadence.
-func (m *Manager) Every() time.Duration { return m.every }
 
 // SetRing bounds the checkpoint ring at n entries (restore targets);
 // values below one are clamped to one.
@@ -340,24 +335,11 @@ func (m *Manager) SetRing(n int) {
 	m.trim()
 }
 
-// Ring returns the configured ring size.
-func (m *Manager) Ring() int { return m.ring }
-
 // SetIncremental switches between incremental (base + delta chain) and
 // full-copy capture. Restored state is byte-identical either way; only
 // the capture cost differs, so only the checkpoint-cost sweep, the
 // checkpoint benchmark and the differential tests turn it off.
 func (m *Manager) SetIncremental(on bool) { m.incremental = on }
-
-// SetMaxChain sets the delta-chain length threshold; values below one
-// are clamped to one.
-func (m *Manager) SetMaxChain(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.maxChain = n
-	m.trim()
-}
 
 // Gen returns the current generation. Subsystems stamp mutations with
 // it; a capture records the generation current at capture time and the
@@ -428,8 +410,8 @@ func (m *Manager) TakeCheckpoint() {
 // trim folds the oldest entries until the ring and chain bounds hold.
 func (m *Manager) trim() {
 	limit := m.ring
-	if limit > m.maxChain+1 {
-		limit = m.maxChain + 1
+	if limit > DefaultMaxChain+1 {
+		limit = DefaultMaxChain + 1
 	}
 	if limit < 1 {
 		limit = 1

@@ -334,21 +334,26 @@ func TestChainThresholdConsolidates(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
 	m.SetRing(100)
-	m.SetMaxChain(2)
 	f := newDeltaSub("d", m.Gen)
 	m.Register(f)
-	for i := 0; i < 6; i++ {
+	const n = DefaultMaxChain + 4
+	for i := 0; i < n; i++ {
 		f.set(i, i)
 		m.TakeCheckpoint()
 		clock.Advance(time.Millisecond)
 	}
-	// Ring is bounded by maxChain+1, not the large ring setting.
-	if m.Checkpoints() != 3 {
-		t.Fatalf("ring holds %d entries, want 3", m.Checkpoints())
+	// Ring is bounded by DefaultMaxChain+1, not the large ring setting.
+	if m.Checkpoints() != DefaultMaxChain+1 {
+		t.Fatalf("ring holds %d entries, want %d", m.Checkpoints(), DefaultMaxChain+1)
 	}
 	m.Restore()
-	if len(f.vals) != 6 {
-		t.Fatalf("restored vals = %v", f.vals)
+	if len(f.vals) != n {
+		t.Fatalf("restored vals = %v, want %d", f.vals, n)
+	}
+	for i := 0; i < n; i++ {
+		if f.vals[i] != i {
+			t.Fatalf("restored vals[%d] = %d, want %d", i, f.vals[i], i)
+		}
 	}
 }
 

@@ -19,11 +19,15 @@ import (
 // checkpointing to stable storage instead of RAM.
 //
 // Persistence is deliberately coarser than the in-memory ring: only
-// subsystems implementing Exporter contribute (the kernel log and
-// process table, transaction counters, file contents); purely volatile
-// machinery — the VM frame pool, lock tables, installed grafts, open
-// connections — is rebuilt by re-initialisation after import, exactly
-// as RAM-resident state is rebuilt after a reboot.
+// subsystems implementing Exporter contribute. The kernel exports its
+// log and pid counter (processes hold live threads and are rebuilt by
+// the workload); the file system its file contents; the graft registry
+// every installed graft with its signed image, which the importer
+// re-links through the same loader checks as a fresh install; the
+// network stack its listeners; txn, lock and vmm their lifetime
+// counters. Purely volatile machinery — the VM frame pool, lock
+// tables, open connections — starts empty after import, exactly as
+// RAM-resident state does after a reboot.
 //
 // The directory is compacted with an exponential-age policy: the newest
 // manifest is always kept, and one survivor is kept per power-of-two

@@ -12,10 +12,12 @@
 //     loader verifies the signature (rule 6), the structural SFI
 //     invariants, the point's privilege requirements (rule 5), and
 //     resolves every imported symbol against the graft-callable list
-//     (rules 4 and 7).
+//     (rules 4 and 7). A graft restored from a durable checkpoint goes
+//     through the same loader.
 //  3. A fresh resource account with zero limits is created for the
 //     graft; the installer transfers limit or directs billing (rule 2).
-//  4. Each invocation runs through a wrapper that begins a transaction,
+//  4. Each invocation — a function point's Invoke or an event point's
+//     handler — runs through one wrapper that begins a transaction,
 //     swaps the thread's resource account for the graft's, arms a
 //     forward-progress watchdog, executes the graft in its SFI sandbox,
 //     validates the returned value, and commits (Figure 3's code paths).
@@ -199,12 +201,17 @@ type Point struct {
 	// It exists ONLY for the measurement harness, which must run the
 	// abort path repeatedly (Table 2); production points leave it false.
 	KeepOnAbort bool
-	// NoTxn runs grafts at this point WITHOUT transaction protection:
-	// no undo stack, no two-phase locking, no resource-account swap.
-	// It exists ONLY for the "what do transactions buy" ablation — it
-	// is the paper's counterfactual, where a failed graft leaves its
-	// half-finished kernel-state changes behind. Never set in
-	// production.
+	// NoTxn runs grafts at this point WITHOUT transaction protection.
+	// The dispatch wrapper is the same one every point uses — admission,
+	// the owner stamp, grant revocation, PreGraft, Validate, outcome
+	// reporting, trace events and the removal decision all happen as
+	// usual — minus the transaction and the account swap and watchdog
+	// that come with it: callables see no current transaction, so no
+	// undo is logged and no lock is registered, and a failure is
+	// reported but leaves every half-finished kernel-state change in
+	// place. Classified kernel panics still escape to the recovery
+	// boundary. It exists ONLY for the "what do transactions buy"
+	// ablation, the paper's counterfactual. Never set in production.
 	NoTxn bool
 
 	reg      *Registry

@@ -25,6 +25,14 @@ import (
 // guaranteeing the pageout daemon (or any other caller) regains control.
 const DefaultWatchdog = 100 * time.Millisecond
 
+// Every graft's sandbox is a segSize segment with kernelMem bytes of
+// simulated kernel memory placed below it (the scribble target for
+// unsafe experiments).
+const (
+	segSize   = 64 << 10
+	kernelMem = 16 << 10
+)
+
 // Stats counts registry-wide events.
 type Stats struct {
 	Installs       int64
@@ -37,7 +45,7 @@ type Stats struct {
 }
 
 // Registry is the kernel's graft machinery: namespace, loader/linker,
-// graft-callable list and invocation wrappers. One per kernel.
+// graft-callable list and invocation wrapper. One per kernel.
 type Registry struct {
 	clock *simclock.Clock
 	txns  *txn.Manager
@@ -49,11 +57,6 @@ type Registry struct {
 	// 2) and the misbehavior demonstrations; production kernels leave it
 	// off.
 	UnsafeAllowed bool
-	// SegSize is the sandbox size given to each graft.
-	SegSize int
-	// KernelMem is the simulated kernel memory placed below each graft's
-	// segment (scribble target for unsafe experiments).
-	KernelMem int
 	// NoTranslate disables install-time translation of verified images
 	// to pre-decoded basic blocks, forcing every graft onto the interpreter
 	// oracle. Translation is on by default: it is observably identical
@@ -119,8 +122,6 @@ func NewRegistry(clock *simclock.Clock, txns *txn.Manager, signer *sfi.Signer) *
 		clock:     clock,
 		txns:      txns,
 		signer:    signer,
-		SegSize:   64 << 10,
-		KernelMem: 16 << 10,
 		callables: make(map[string]Callable),
 		points:    make(map[string]*Point),
 		installed: make(map[*Installed]bool),
@@ -233,44 +234,63 @@ type InstallOptions struct {
 }
 
 // Install loads an image at the named graft point on behalf of the
-// calling thread. This is the dynamic linker and loader of §3.3–3.5: it
-// verifies the signature and SFI invariants, enforces point privilege,
-// resolves imports against the graft-callable list, builds the sandbox,
-// and binds the resource account.
+// calling thread: the thread's user owns the graft, and the thread's
+// account funds any binding the options ask for. Every check is load's.
 func (r *Registry) Install(t *sched.Thread, pointName string, img *sfi.Image, opts InstallOptions) (*Installed, error) {
 	p, err := r.Lookup(pointName)
 	if err != nil {
 		r.stats.InstallRejects++
 		return nil, err
 	}
-	if sup := r.Supervisor; sup != nil && sup.Barred(guardKey(pointName, img.Name)) {
+	return r.load(p, img, ThreadUID(t), ThreadAccount(t), opts, "")
+}
+
+// load is the dynamic linker and loader of §3.3–3.5, the one path by
+// which a graft enters the kernel: Install and the durable-checkpoint
+// importer both come through here. Every reject is counted in
+// InstallRejects. prefix starts the install's trace detail ("restored "
+// for imports).
+func (r *Registry) load(p *Point, img *sfi.Image, owner UID, installer *resource.Account, opts InstallOptions, prefix string) (*Installed, error) {
+	g, err := r.check(p, img, owner, installer, opts)
+	if err != nil {
 		r.stats.InstallRejects++
-		return nil, fmt.Errorf("%w: image %q at %q", ErrExpelled, img.Name, pointName)
+		return nil, err
 	}
-	uid := ThreadUID(t)
+	r.attach(g)
+	r.stats.Installs++
+	r.emit(trace.GraftInstall, p.Name, fmt.Sprintf("%simage %q by uid %d", prefix, img.Name, owner))
+	return g, nil
+}
+
+// check runs the loader's checks in order — the supervisor's bar, the
+// point's privilege against the owner, the signature (or the unsafe
+// gate), the SFI invariants, the entry point, occupancy — then resolves
+// the imports and builds the sandbox. Only a graft that has passed all
+// of them binds its resource account, all at once (resource.Fund), so a
+// rejected install leaves every account, billing target and the
+// registry as it found them.
+func (r *Registry) check(p *Point, img *sfi.Image, owner UID, installer *resource.Account, opts InstallOptions) (*Installed, error) {
+	if sup := r.Supervisor; sup != nil && sup.Barred(guardKey(p.Name, img.Name)) {
+		return nil, fmt.Errorf("%w: image %q at %q", ErrExpelled, img.Name, p.Name)
+	}
 	if p.Privilege == Restricted {
-		r.stats.InstallRejects++
-		return nil, fmt.Errorf("%w: %q", ErrRestrictedPoint, pointName)
+		return nil, fmt.Errorf("%w: %q", ErrRestrictedPoint, p.Name)
 	}
-	if p.Privilege == Global && uid != Root {
+	if p.Privilege == Global && owner != Root {
 		r.stats.PrivilegeFails++
-		r.stats.InstallRejects++
-		return nil, fmt.Errorf("%w: %q (uid %d)", ErrPrivilege, pointName, uid)
+		return nil, fmt.Errorf("%w: %q (uid %d)", ErrPrivilege, p.Name, owner)
 	}
-	unsafeOK := opts.AllowUnsafe && r.UnsafeAllowed && uid == Root
+	unsafeOK := opts.AllowUnsafe && r.UnsafeAllowed && owner == Root
 	if !unsafeOK {
 		if !img.Safe {
-			r.stats.InstallRejects++
 			return nil, fmt.Errorf("%w: image %q", ErrNotSafe, img.Name)
 		}
 		if !r.signer.Verify(img) {
 			r.stats.SignatureFails++
-			r.stats.InstallRejects++
 			return nil, fmt.Errorf("%w: image %q", ErrUnsigned, img.Name)
 		}
 	}
 	if err := sfi.Verify(img); err != nil {
-		r.stats.InstallRejects++
 		return nil, fmt.Errorf("graft: image %q rejected by verifier: %w", img.Name, err)
 	}
 	entry := opts.Entry
@@ -278,64 +298,46 @@ func (r *Registry) Install(t *sched.Thread, pointName string, img *sfi.Image, op
 		entry = "main"
 	}
 	if _, err := img.Entry(entry); err != nil {
-		r.stats.InstallRejects++
 		return nil, err
 	}
 	if p.Kind == Function && p.grafted != nil {
-		r.stats.InstallRejects++
-		return nil, fmt.Errorf("%w: %q", ErrOccupied, pointName)
+		return nil, fmt.Errorf("%w: %q", ErrOccupied, p.Name)
 	}
-
 	acct := opts.Account
 	if acct == nil {
-		acct = resource.NewAccount(fmt.Sprintf("graft:%s@%s", img.Name, pointName))
+		acct = resource.NewAccount(fmt.Sprintf("graft:%s@%s", img.Name, p.Name))
 	}
 	g := &Installed{
 		Image:   img,
 		Entry:   entry,
-		Owner:   uid,
+		Owner:   owner,
 		Account: acct,
 		Point:   p,
 		Order:   opts.Order,
 	}
-	// Resource binding (§3.2): zero limits unless the installer
-	// transfers or directs billing.
-	installerAcct := ThreadAccount(t)
-	if opts.BillInstaller {
-		if installerAcct == nil {
-			r.stats.InstallRejects++
-			return nil, fmt.Errorf("graft: BillInstaller with no installer account")
-		}
-		if err := g.Account.BillTo(installerAcct); err != nil {
-			r.stats.InstallRejects++
-			return nil, err
-		}
-	}
-	for kind, n := range opts.Transfer {
-		if installerAcct == nil {
-			r.stats.InstallRejects++
-			return nil, fmt.Errorf("graft: Transfer with no installer account")
-		}
-		if err := installerAcct.Transfer(g.Account, kind, n); err != nil {
-			r.stats.InstallRejects++
-			return nil, err
-		}
-	}
-
 	if err := r.link(g); err != nil {
-		r.stats.InstallRejects++
 		return nil, err
 	}
-
-	r.attach(g)
-	r.stats.Installs++
-	r.emit(trace.GraftInstall, pointName, fmt.Sprintf("image %q by uid %d", img.Name, uid))
+	// Resource binding (§3.2): zero limits unless the installer
+	// transfers or directs billing.
+	if !opts.BillInstaller && len(opts.Transfer) == 0 {
+		return g, nil
+	}
+	if installer == nil {
+		what := "Transfer"
+		if opts.BillInstaller {
+			what = "BillInstaller"
+		}
+		return nil, fmt.Errorf("graft: %s with no installer account", what)
+	}
+	if err := installer.Fund(acct, opts.BillInstaller, opts.Transfer); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
 // link resolves the image's imports against the graft-callable list
 // (rules 4 and 7 checked at link time) and builds the sandbox VM.
-// Shared by Install and the durable-checkpoint importer.
 func (r *Registry) link(g *Installed) error {
 	img := g.Image
 	kernelFns := make(map[string]sfi.KernelFunc, len(img.Symbols))
@@ -375,8 +377,8 @@ func (r *Registry) link(g *Installed) error {
 		}
 	}
 	vm, err := sfi.NewVM(img, sfi.Config{
-		SegSize:   r.SegSize,
-		KernelMem: r.KernelMem,
+		SegSize:   segSize,
+		KernelMem: kernelMem,
 		Kernel:    kernelFns,
 		Program:   prog,
 		Hook: func(cycles int64) {
@@ -453,95 +455,95 @@ func (r *Registry) remove(g *Installed) {
 	r.emit(trace.GraftRemove, p.Name, fmt.Sprintf("image %q", g.Image.Name))
 }
 
-// Invoke runs a function graft point: the grafted implementation inside
-// its transaction wrapper if present, the default otherwise. On abort
-// the graft is forcibly removed and the default runs — "the kernel must
+// Invoke runs a function graft point: the grafted implementation
+// through the dispatch wrapper if present, the default otherwise. A
+// graft that aborts is answered for by the default — "the kernel must
 // be able to make progress even with a faulty graft in its path" (rule
-// 9). The error return reports the abort reason for diagnostics even
-// though a result is always produced.
-//
-// With a supervisor armed, the remove-on-abort policy is replaced by
-// the escalation ladder: quarantined grafts are short-circuited here
-// (the default serves the call without the graft running at all), and
-// removal happens only on the supervisor's expel verdict.
+// 9) — and the error return reports the abort reason for diagnostics
+// even though a result is always produced. A graft the supervisor
+// holds in quarantine is answered for by the default without running.
 func (p *Point) Invoke(t *sched.Thread, args ...int64) (int64, error) {
 	p.stats.Invocations++
 	if c := p.IndirectionCost; c > 0 {
 		t.Charge(c)
 	}
-	g := p.grafted
-	if g == nil {
-		p.stats.DefaultCalls++
-		return p.Default(t, args)
+	var err error
+	if g := p.grafted; g != nil {
+		res, ok, gerr := p.reg.dispatch(t, g, args)
+		if ok {
+			return res, nil
+		}
+		err = gerr
 	}
-	sup := p.reg.Supervisor
+	p.stats.DefaultCalls++
+	res, derr := p.Default(t, args)
+	if derr != nil {
+		return res, derr
+	}
+	return res, err
+}
+
+// dispatch is the one wrapper around every graft invocation, from
+// Point.Invoke and from Point.Trigger's workers alike. It computes the
+// guard key once, asks the supervisor (when armed) to admit the call —
+// a blocked call returns without running the graft — runs the graft
+// through the §3.1 stub, reports the outcome to the supervisor, and
+// after a failed dispatch makes the one removal decision: the
+// supervisor's expel verdict, or with no supervisor, forcible removal
+// on the first abort unless the point sets KeepOnAbort. ok reports
+// that res is the graft's own, validated answer.
+func (r *Registry) dispatch(t *sched.Thread, g *Installed, args []int64) (res int64, ok bool, err error) {
+	key := g.GuardKey()
+	sup := r.Supervisor
 	probation := false
 	if sup != nil {
-		switch sup.Admit(g.GuardKey()) {
+		switch sup.Admit(key) {
 		case guard.Block:
-			p.stats.DefaultCalls++
-			return p.Default(t, args)
+			return 0, false, nil
 		case guard.RunProbation:
 			probation = true
 		}
 	}
-	// The dispatch crash models the graft corrupting the kernel as control
-	// transfers into it, so it fires only once the supervisor has admitted
-	// the call: a quarantined graft that never runs cannot panic dispatch.
-	p.reg.Faults.MaybeCrash(crash.SiteDispatch, g.GuardKey())
-	res, err := p.reg.invokeSupervised(t, g, probation, args)
-	if err != nil {
-		// Forcible removal: new invocations use normal kernel code.
-		// (Supervised grafts are removed by the expel verdict instead.)
-		if sup == nil && !p.KeepOnAbort {
-			p.reg.remove(g)
-		}
-		p.stats.DefaultCalls++
-		dres, derr := p.Default(t, args)
-		if derr != nil {
-			return dres, derr
-		}
-		return dres, err
+	p := g.Point
+	if p.Kind == Function {
+		// The dispatch crash models the graft corrupting the kernel as
+		// control transfers into it, so it fires only once the supervisor
+		// has admitted the call: a quarantined graft that never runs
+		// cannot panic dispatch. Event handlers are not a crash site.
+		r.Faults.MaybeCrash(crash.SiteDispatch, key)
 	}
-	return res, nil
-}
-
-// invokeSupervised wraps invokeGraft with the supervisor's outcome
-// reporting: commit/abort counts, the classified abort cause, the
-// abort's virtual-time cost, and removal on an expel verdict. With no
-// supervisor it is invokeGraft verbatim.
-func (r *Registry) invokeSupervised(t *sched.Thread, g *Installed, probation bool, args []int64) (int64, error) {
-	sup := r.Supervisor
-	if sup == nil {
-		return r.invokeGraft(t, g, false, args)
+	if sup != nil {
+		// Harvest grant-window audit deltas into the health ledger on
+		// every return path, including a panicking escalation: the ledger
+		// survives crash recovery, so the audit trail of who used their
+		// grants does too.
+		defer r.harvestGrantAudit(g, key)
 	}
-	// Harvest grant-window audit deltas into the health ledger on every
-	// return path, including a panicking escalation: the ledger survives
-	// crash recovery, so the audit trail of who used their grants does
-	// too.
-	defer r.harvestGrantAudit(g)
 	undoBefore := r.txns.Stats().UndoPanics
-	res, err := r.invokeGraft(t, g, probation, args)
-	key := g.GuardKey()
-	if err == nil {
-		sup.RecordCommit(key)
-		return res, nil
+	res, err = r.stub(t, g, key, probation, args)
+	remove := err != nil && !p.KeepOnAbort
+	if sup != nil {
+		if err == nil {
+			sup.RecordCommit(key)
+		} else {
+			cost := r.txns.LastAbortDuration()
+			if p.NoTxn {
+				cost = 0 // no transaction, no abort path to account
+			}
+			cause := abortCause(err, r.txns.Stats().UndoPanics > undoBefore)
+			remove = sup.RecordAbort(key, cause, cost) == guard.VerdictExpel
+		}
 	}
-	cause := abortCause(err, r.txns.Stats().UndoPanics > undoBefore)
-	cost := r.txns.LastAbortDuration()
-	if g.Point.NoTxn {
-		cost = 0 // no transaction, no abort path to account
-	}
-	if sup.RecordAbort(key, cause, cost) == guard.VerdictExpel {
+	if remove {
 		r.remove(g)
 	}
-	return res, err
+	return res, err == nil, err
 }
 
 // harvestGrantAudit forwards the VM's per-region grant-window access
 // counters to the supervisor as per-dispatch deltas (the VM counts for
 // its whole lifetime; grantMark remembers what was already reported).
-func (r *Registry) harvestGrantAudit(g *Installed) {
+func (r *Registry) harvestGrantAudit(g *Installed, key string) {
 	sup := r.Supervisor
 	if sup == nil || g.vm == nil {
 		return
@@ -550,7 +552,6 @@ func (r *Registry) harvestGrantAudit(g *Installed) {
 	if len(audits) == 0 {
 		return
 	}
-	key := g.GuardKey()
 	if g.grantMark == nil {
 		g.grantMark = make(map[string][2]int64, len(audits))
 	}
@@ -576,11 +577,15 @@ func abortCause(err error, undoPanicked bool) txn.AbortCause {
 	return txn.ClassifyAbort(err)
 }
 
-// invokeGraft is the wrapper stub of §3.1: begin transaction, swap
-// resource accounts, arm the watchdog, run the sandboxed code, validate
-// the result, commit. Probation invocations run under a watchdog
-// tightened by the supervisor's policy.
-func (r *Registry) invokeGraft(t *sched.Thread, g *Installed, probation bool, args []int64) (int64, error) {
+// stub is the wrapper stub of §3.1. In order: begin the transaction,
+// swap the thread's resource account for the graft's, arm the
+// watchdog, make the graft current, stamp the rollback owner, run the
+// PreGraft hook, call the graft in its sandbox and validate the result;
+// unwinding runs in reverse before the commit or abort. Probation
+// invocations run under a watchdog tightened by the supervisor's
+// policy. A NoTxn point runs the same sequence without the
+// transaction, the account swap and the watchdog.
+func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation bool, args []int64) (int64, error) {
 	p := g.Point
 	p.stats.GraftedCalls++
 	if r.Faults.CrashArmed() {
@@ -590,47 +595,46 @@ func (r *Registry) invokeGraft(t *sched.Thread, g *Installed, probation bool, ar
 		defer func() {
 			if rec := recover(); rec != nil {
 				if cp, ok := crash.IsPanic(rec); ok && cp.Graft == "" {
-					cp.Graft = g.GuardKey()
+					cp.Graft = key
 				}
 				panic(rec)
 			}
 		}()
 	}
-	if p.NoTxn {
-		return r.invokeGraftUnprotected(t, g, args)
-	}
 	var result int64
-	err := r.txns.Run(t, func(tx *txn.Txn) error {
-		// The thread's limits are replaced by the graft's (§3.2).
-		prevAcct := ThreadAccount(t)
-		t.SetLocal(localAccount, g.Account)
-		defer t.SetLocal(localAccount, prevAcct)
+	body := func(tx *txn.Txn) error {
+		if tx != nil {
+			// The thread's limits are replaced by the graft's (§3.2).
+			prevAcct := ThreadAccount(t)
+			t.SetLocal(localAccount, g.Account)
+			defer t.SetLocal(localAccount, prevAcct)
 
-		// Forward-progress watchdog (§2.5).
-		wd := p.Watchdog
-		if wd <= 0 {
-			wd = DefaultWatchdog
+			// Forward-progress watchdog (§2.5).
+			wd := p.Watchdog
+			if wd <= 0 {
+				wd = DefaultWatchdog
+			}
+			if probation {
+				if n := r.Supervisor.Policy().WatchdogTighten; n > 1 {
+					wd /= time.Duration(n)
+				}
+				if wd < time.Millisecond {
+					wd = time.Millisecond
+				}
+			}
+			running := true
+			ev := r.clock.After(wd, func() {
+				if running {
+					r.stats.WatchdogFires++
+					r.emit(trace.WatchdogFire, p.Name, wd.String())
+					t.RequestAbort(fmt.Errorf("%w: %s after %v", ErrWatchdog, p.Name, wd))
+				}
+			})
+			defer func() {
+				running = false
+				r.clock.Cancel(ev)
+			}()
 		}
-		if probation {
-			if n := r.Supervisor.Policy().WatchdogTighten; n > 1 {
-				wd /= time.Duration(n)
-			}
-			if wd < time.Millisecond {
-				wd = time.Millisecond
-			}
-		}
-		running := true
-		ev := r.clock.After(wd, func() {
-			if running {
-				r.stats.WatchdogFires++
-				r.emit(trace.WatchdogFire, p.Name, wd.String())
-				t.RequestAbort(fmt.Errorf("%w: %s after %v", ErrWatchdog, p.Name, wd))
-			}
-		})
-		defer func() {
-			running = false
-			r.clock.Cancel(ev)
-		}()
 
 		prevThread := g.curThread
 		g.curThread = t
@@ -640,7 +644,7 @@ func (r *Registry) invokeGraft(t *sched.Thread, g *Installed, probation bool, ar
 		// PreGraft hook and accessor calls — land in its rollback domain,
 		// so a scoped crash recovery can revert exactly this graft's
 		// damage. Dispatch nests, hence the save/restore.
-		prevOwner := crash.SetOwner(t, g.GuardKey())
+		prevOwner := crash.SetOwner(t, key)
 		defer crash.SetOwner(t, prevOwner)
 
 		// Shared-buffer grants are per-dispatch: whatever the PreGraft
@@ -667,7 +671,13 @@ func (r *Registry) invokeGraft(t *sched.Thread, g *Installed, probation bool, ar
 		}
 		result = res
 		return nil
-	})
+	}
+	var err error
+	if p.NoTxn {
+		err = txn.RunUnprotected(t, body)
+	} else {
+		err = r.txns.Run(t, body)
+	}
 	if err != nil {
 		p.stats.Aborts++
 		r.emit(trace.GraftAbort, p.Name, err.Error())
@@ -680,7 +690,7 @@ func (r *Registry) invokeGraft(t *sched.Thread, g *Installed, probation bool, ar
 			panic(&crash.Panic{
 				Class:  crash.SFIViolation,
 				Site:   crash.SiteDispatch,
-				Graft:  g.GuardKey(),
+				Graft:  key,
 				Reason: err.Error(),
 			})
 		}
@@ -689,45 +699,6 @@ func (r *Registry) invokeGraft(t *sched.Thread, g *Installed, probation bool, ar
 	p.stats.Commits++
 	r.emit(trace.GraftCommit, p.Name, "")
 	return result, nil
-}
-
-// invokeGraftUnprotected is the ablation counterfactual: the graft runs
-// with no transaction around it. Accessor functions see no current
-// transaction and push no undos; a failure reports an error but leaves
-// every half-finished state change in place. It exists so the harness
-// can demonstrate what the paper's mechanism prevents.
-func (r *Registry) invokeGraftUnprotected(t *sched.Thread, g *Installed, args []int64) (res int64, err error) {
-	p := g.Point
-	defer func() {
-		if rec := recover(); rec != nil {
-			if sched.IsKill(rec) {
-				panic(rec)
-			}
-			if a, ok := rec.(*sched.Abort); ok {
-				err = a.Reason
-			} else {
-				err = fmt.Errorf("graft panic: %v", rec)
-			}
-			t.ClearAbort()
-		}
-		if err != nil {
-			p.stats.Aborts++
-			r.emit(trace.GraftAbort, p.Name, "UNPROTECTED: "+err.Error())
-		} else {
-			p.stats.Commits++
-		}
-	}()
-	prevThread := g.curThread
-	g.curThread = t
-	defer func() { g.curThread = prevThread }()
-	prevOwner := crash.SetOwner(t, g.GuardKey())
-	defer crash.SetOwner(t, prevOwner)
-	defer g.vm.RevokeGrants()
-	res, err = g.vm.Call(g.Entry, args...)
-	if err == nil && p.Validate != nil {
-		res, err = p.Validate(t, args, res)
-	}
-	return res, err
 }
 
 // regSnap captures the registry's membership state: the point
@@ -827,10 +798,8 @@ type registryExport struct {
 type pendingGraft struct {
 	point string
 	img   *sfi.Image
-	entry string
 	owner UID
-	order int
-	acct  *resource.Account
+	opts  InstallOptions
 }
 
 // CrashExport implements crash.Exporter: every installed graft is
@@ -880,14 +849,16 @@ func (r *Registry) CrashExport() ([]byte, error) {
 }
 
 // CrashImport implements crash.Exporter. Each record's image is decoded
-// and its signature re-verified exactly as at first install. Grafts
-// whose points already exist (registered by subsystems that initialise
-// before the import) are re-linked immediately; the rest wait on the
-// pending list until RegisterPoint re-creates their point — the fs,
-// vmm and netstk importers run after this one and re-register points
-// through their normal creation paths, flushing the matches. Grafts
-// that share a resource account (a tenant's) share it again after
-// import.
+// and goes through the loader exactly as at first install: the
+// supervisor's bar, the point's privilege against the recorded owner,
+// the signature (or the unsafe gate), the SFI invariants, the entry
+// point, occupancy and the link. Grafts whose points already exist
+// (registered by subsystems that initialise before the import) load
+// immediately; the rest wait on the pending list until RegisterPoint
+// re-creates their point — the fs, vmm and netstk importers run after
+// this one and re-register points through their normal creation
+// paths, flushing the matches. Grafts that share a resource account (a
+// tenant's) share it again after import.
 func (r *Registry) CrashImport(data []byte) error {
 	var ex registryExport
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ex); err != nil {
@@ -895,30 +866,13 @@ func (r *Registry) CrashImport(data []byte) error {
 	}
 	accts := make(map[string]*resource.Account)
 	for _, rec := range ex.Grafts {
-		var img *sfi.Image
-		var err error
+		decode := sfi.DecodeSigned
 		if rec.Unsafe {
-			if !r.UnsafeAllowed {
-				r.stats.InstallRejects++
-				continue
-			}
-			img, err = sfi.Decode(rec.Image)
-		} else {
-			img, err = sfi.DecodeSigned(rec.Image)
+			decode = sfi.Decode
 		}
+		img, err := decode(rec.Image)
 		if err != nil {
 			return fmt.Errorf("graft: import %q at %q: %w", rec.Account, rec.Point, err)
-		}
-		if !rec.Unsafe {
-			if !r.signer.Verify(img) {
-				r.stats.SignatureFails++
-				r.stats.InstallRejects++
-				continue
-			}
-			if err := sfi.Verify(img); err != nil {
-				r.stats.InstallRejects++
-				continue
-			}
 		}
 		acct, ok := accts[rec.Account]
 		if !ok {
@@ -931,13 +885,11 @@ func (r *Registry) CrashImport(data []byte) error {
 		pg := &pendingGraft{
 			point: rec.Point,
 			img:   img,
-			entry: rec.Entry,
 			owner: UID(rec.Owner),
-			order: rec.Order,
-			acct:  acct,
+			opts:  InstallOptions{Entry: rec.Entry, Order: rec.Order, AllowUnsafe: rec.Unsafe, Account: acct},
 		}
 		if p, ok := r.points[pg.point]; ok {
-			r.importInstall(p, pg)
+			r.restore(p, pg)
 		} else {
 			r.pending = append(r.pending, pg)
 		}
@@ -945,37 +897,16 @@ func (r *Registry) CrashImport(data []byte) error {
 	return nil
 }
 
-// importInstall re-links one imported graft at its (re-created) point.
-// A graft that no longer links — a callable absent from this kernel, or
-// a supervisor bar carried over — is dropped, exactly as a reboot drops
-// an extension whose kernel interface vanished.
-func (r *Registry) importInstall(p *Point, pg *pendingGraft) {
-	if sup := r.Supervisor; sup != nil && sup.Barred(guardKey(p.Name, pg.img.Name)) {
-		r.stats.InstallRejects++
-		return
-	}
-	if p.Kind == Function && p.grafted != nil {
-		r.stats.InstallRejects++
-		return
-	}
-	g := &Installed{
-		Image:   pg.img,
-		Entry:   pg.entry,
-		Owner:   pg.owner,
-		Account: pg.acct,
-		Point:   p,
-		Order:   pg.order,
-	}
-	if err := r.link(g); err != nil {
-		r.stats.InstallRejects++
-		return
-	}
-	r.attach(g)
-	r.stats.Installs++
-	r.emit(trace.GraftInstall, p.Name, fmt.Sprintf("restored image %q by uid %d", pg.img.Name, pg.owner))
+// restore loads one imported graft at its (re-created) point. A graft
+// the loader rejects — a callable absent from this kernel, a supervisor
+// bar carried over, a record that no longer passes the install checks —
+// is dropped, exactly as a reboot drops an extension whose kernel
+// interface vanished.
+func (r *Registry) restore(p *Point, pg *pendingGraft) {
+	_, _ = r.load(p, pg.img, pg.owner, nil, pg.opts, "restored ")
 }
 
-// flushPending installs every pending graft import waiting on the
+// flushPending loads every pending graft import waiting on the
 // just-registered point, preserving export order.
 func (r *Registry) flushPending(p *Point) {
 	if len(r.pending) == 0 {
@@ -984,7 +915,7 @@ func (r *Registry) flushPending(p *Point) {
 	var rest []*pendingGraft
 	for _, pg := range r.pending {
 		if pg.point == p.Name {
-			r.importInstall(p, pg)
+			r.restore(p, pg)
 		} else {
 			rest = append(rest, pg)
 		}
@@ -1014,8 +945,9 @@ func (r *Registry) RebindAccount(name string, acct *resource.Account) int {
 }
 
 // Trigger fires an event point: for each installed handler, in order, a
-// worker thread is spawned that runs the handler inside a transaction
-// (§3.5). Misbehaving handlers are removed exactly like function grafts.
+// worker thread is spawned that runs the handler with its owner's
+// identity through the same dispatch wrapper as Invoke (§3.5), so a
+// misbehaving handler is removed exactly like a function graft.
 // Trigger returns immediately; the workers run under the scheduler.
 func (p *Point) Trigger(s *sched.Scheduler, args ...int64) int {
 	if p.Kind != Event {
@@ -1027,23 +959,11 @@ func (p *Point) Trigger(s *sched.Scheduler, args ...int64) int {
 		g := g
 		n++
 		s.Spawn(fmt.Sprintf("event:%s", p.Name), func(t *sched.Thread) {
-			// The worker runs with the graft owner's identity.
 			SetThreadIdentity(t, g.Owner, g.Account)
-			if g.removed {
-				return
-			}
-			sup := p.reg.Supervisor
-			probation := false
-			if sup != nil {
-				switch sup.Admit(g.GuardKey()) {
-				case guard.Block:
-					return
-				case guard.RunProbation:
-					probation = true
-				}
-			}
-			if _, err := p.reg.invokeSupervised(t, g, probation, args); err != nil && sup == nil {
-				p.reg.remove(g)
+			if !g.removed {
+				// The wrapper has counted, traced and acted on any failure;
+				// an event has no caller to answer.
+				_, _, _ = p.reg.dispatch(t, g, args)
 			}
 		})
 	}

@@ -413,29 +413,6 @@ func (l *Lock) addHolder(t *sched.Thread, mode Mode) {
 	}
 	l.holders[t] = &hold{mode: mode, count: 1}
 	l.order = append(l.order, t)
-	heldLocksAdd(t, l.name)
-}
-
-// heldLocksAdd and heldLocksRemove maintain a per-thread list of held
-// lock names in thread-local storage, used for deadlock diagnostics.
-func heldLocksAdd(t *sched.Thread, name string) {
-	hl, _ := t.Local("heldLocks").([]string)
-	t.SetLocal("heldLocks", append(hl, name))
-}
-
-func heldLocksRemove(t *sched.Thread, name string) {
-	hl, _ := t.Local("heldLocks").([]string)
-	for i, n := range hl {
-		if n == name {
-			hl = append(hl[:i], hl[i+1:]...)
-			break
-		}
-	}
-	if len(hl) == 0 {
-		t.SetLocal("heldLocks", nil)
-		return
-	}
-	t.SetLocal("heldLocks", hl)
 }
 
 // Acquire takes the lock for t in the given mode, blocking under
@@ -540,7 +517,7 @@ func (l *Lock) armTimeout(w *waiter) {
 		l.m.stats.Timeouts++
 		l.m.Trace.Emit(l.m.clock.Now(), trace.LockTimeout, l.name,
 			fmt.Sprintf("class %s after %v", l.class.Name, l.class.Timeout))
-		if len(w.lockedByWaiterLocks()) > 0 {
+		if l.m.holdsAny(w.req.Thread) {
 			l.m.recordDeadlock(l)
 		}
 		l.abortConflictingHolders(w)
@@ -553,16 +530,16 @@ func (l *Lock) armTimeout(w *waiter) {
 	w.hasTO = true
 }
 
-// lockedByWaiterLocks is a diagnostic helper: a waiter that itself holds
-// locks and then times out indicates a (broken) deadlock.
-func (w *waiter) lockedByWaiterLocks() []string {
-	if w.req.Thread == nil {
-		return nil
+// holdsAny reports whether t holds any lock: a waiter that itself holds
+// locks and then times out indicates a (broken) deadlock. The scan runs
+// only when a contention time-out fires.
+func (m *Manager) holdsAny(t *sched.Thread) bool {
+	for _, l := range m.locks {
+		if l.holders[t] != nil {
+			return true
+		}
 	}
-	if hl, ok := w.req.Thread.Local("heldLocks").([]string); ok {
-		return hl
-	}
-	return nil
+	return false
 }
 
 // abortConflictingHolders aborts the transaction of every holder that
@@ -611,7 +588,6 @@ func (l *Lock) Release(t *sched.Thread) error {
 			break
 		}
 	}
-	heldLocksRemove(t, l.name)
 	l.grantWaiters()
 	return nil
 }

@@ -428,25 +428,42 @@ func TestAbortedWaiterDequeued(t *testing.T) {
 	}
 }
 
-func TestHeldLocksTracking(t *testing.T) {
+// TestTimeoutWithoutHeldLocksIsNoDeadlock: a contention time-out on a
+// waiter that holds no lock — here one that took and released another
+// lock before it started waiting — is plain contention, not a broken
+// wait cycle, so no deadlock is recorded. TestDeadlockBrokenByTimeout
+// and TestDeadlockForensicsSnapshot cover the waiter that does hold one.
+func TestTimeoutWithoutHeldLocksIsNoDeadlock(t *testing.T) {
 	s, m := newEnv()
-	la := m.NewLock("A", testClass)
+	la := m.NewLock("A", &Class{Name: "res", Timeout: 10 * time.Millisecond})
 	lb := m.NewLock("B", testClass)
-	s.Spawn("t", func(th *sched.Thread) {
+	m.HolderInTxn = func(*sched.Thread) bool { return false }
+	got := false
+	s.Spawn("holder", func(th *sched.Thread) {
 		la.Acquire(th, Exclusive)
-		lb.Acquire(th, Shared)
-		hl, _ := th.Local("heldLocks").([]string)
-		if len(hl) != 2 {
-			t.Errorf("heldLocks = %v", hl)
-		}
+		th.Sleep(100 * time.Millisecond)
 		_ = la.Release(th)
+	})
+	s.Spawn("waiter", func(th *sched.Thread) {
+		lb.Acquire(th, Exclusive)
 		_ = lb.Release(th)
-		if th.Local("heldLocks") != nil {
-			t.Errorf("heldLocks not cleared: %v", th.Local("heldLocks"))
-		}
+		th.Charge(time.Millisecond)
+		la.Acquire(th, Exclusive)
+		got = true
+		_ = la.Release(th)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !got {
+		t.Fatal("waiter starved")
+	}
+	st := m.Stats()
+	if st.Timeouts == 0 {
+		t.Fatal("no contention time-out fired")
+	}
+	if st.DeadlockBreak != 0 || len(st.LastDeadlock) != 0 {
+		t.Fatalf("deadlock recorded for a waiter holding no lock: %d breaks, %v", st.DeadlockBreak, st.LastDeadlock)
 	}
 }
 

@@ -79,12 +79,20 @@ func (a *Account) Name() string { return a.name }
 // BillTo directs all of this account's charges to parent. Passing nil
 // restores self-billing. Billing loops are rejected.
 func (a *Account) BillTo(parent *Account) error {
+	if err := a.billingCycle(parent); err != nil {
+		return err
+	}
+	a.billTo = parent
+	return nil
+}
+
+// billingCycle reports the loop BillTo(parent) would create.
+func (a *Account) billingCycle(parent *Account) error {
 	for p := parent; p != nil; p = p.billTo {
 		if p == a {
 			return fmt.Errorf("resource: billing cycle through account %q", a.name)
 		}
 	}
-	a.billTo = parent
 	return nil
 }
 
@@ -169,11 +177,59 @@ func (a *Account) Transfer(to *Account, kind Kind, n int64) error {
 	if to == a {
 		return nil
 	}
-	if a.limit[kind]-a.used[kind] < n {
-		return &LimitError{Account: a.name, Kind: kind, Request: n, Used: a.used[kind], Limit: a.limit[kind]}
+	if err := a.headroom(kind, n); err != nil {
+		return err
 	}
 	a.limit[kind] -= n
 	to.limit[kind] += n
+	return nil
+}
+
+// headroom reports the LimitError a transfer of n units of kind out of
+// the account would hit: limit its own usage still needs cannot move.
+func (a *Account) headroom(kind Kind, n int64) error {
+	if a.limit[kind]-a.used[kind] < n {
+		return &LimitError{Account: a.name, Kind: kind, Request: n, Used: a.used[kind], Limit: a.limit[kind]}
+	}
+	return nil
+}
+
+// Fund binds a graft's account to its installer in one step: when bill
+// is set, to's charges are billed to this account, and for every kind
+// in amounts that much limit is transferred from this account to to.
+// Everything is checked before anything changes — the billing cycle
+// first, then each kind in sorted order for a negative amount or a
+// shortfall — so a binding the installer cannot fund leaves both
+// accounts as they were, and which error it reports does not depend on
+// map order.
+func (a *Account) Fund(to *Account, bill bool, amounts map[Kind]int64) error {
+	if bill {
+		if err := to.billingCycle(a); err != nil {
+			return err
+		}
+	}
+	kinds := make([]Kind, 0, len(amounts))
+	for k := range amounts {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	for _, k := range kinds {
+		n := amounts[k]
+		if n < 0 {
+			return fmt.Errorf("resource: negative transfer of %d %s", n, k)
+		}
+		if to != a {
+			if err := a.headroom(k, n); err != nil {
+				return err
+			}
+		}
+	}
+	if bill {
+		to.billTo = a
+	}
+	for _, k := range kinds {
+		_ = a.Transfer(to, k, amounts[k]) // checked above
+	}
 	return nil
 }
 

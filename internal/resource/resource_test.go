@@ -96,6 +96,58 @@ func TestTransferRespectsOwnUsage(t *testing.T) {
 	}
 }
 
+// TestFundAllOrNothing: an install-time binding the installer cannot
+// fund in full — one kind short, a negative amount, a billing cycle —
+// changes neither account; one it can fund moves every kind and
+// redirects billing.
+func TestFundAllOrNothing(t *testing.T) {
+	newPair := func() (*Account, *Account) {
+		proc, graft := NewAccount("proc"), NewAccount("graft")
+		proc.SetLimit(Memory, 100)
+		proc.SetLimit(Sockets, 1)
+		return proc, graft
+	}
+	unchanged := func(t *testing.T, proc, graft *Account) {
+		t.Helper()
+		if proc.Limit(Memory) != 100 || proc.Limit(Sockets) != 1 || len(graft.Kinds()) != 0 || graft.Billed() != graft {
+			t.Fatalf("failed Fund changed state: %v / %v", proc, graft)
+		}
+	}
+	for _, amounts := range []map[Kind]int64{
+		{Memory: 30, Sockets: 2},
+		{Memory: 30, Sockets: -1},
+	} {
+		proc, graft := newPair()
+		if err := proc.Fund(graft, true, amounts); err == nil {
+			t.Fatalf("Fund(%v) succeeded", amounts)
+		}
+		unchanged(t, proc, graft)
+	}
+	// Both kinds short: the reported kind is the first in sorted order,
+	// whatever order the map iterates in.
+	for i := 0; i < 32; i++ {
+		proc, graft := newPair()
+		var le *LimitError
+		if err := proc.Fund(graft, false, map[Kind]int64{Sockets: 2, Memory: 200}); !errors.As(err, &le) || le.Kind != Memory {
+			t.Fatalf("two short kinds: err = %v, want a LimitError for %s", err, Memory)
+		}
+	}
+	proc, graft := newPair()
+	if err := graft.BillTo(proc); err != nil {
+		t.Fatal(err)
+	}
+	if err := graft.Fund(proc, true, map[Kind]int64{Memory: 0}); err == nil {
+		t.Fatal("Fund accepted a billing cycle")
+	}
+	proc, graft = newPair()
+	if err := proc.Fund(graft, true, map[Kind]int64{Memory: 30, Sockets: 1}); err != nil {
+		t.Fatalf("fundable binding: %v", err)
+	}
+	if proc.Limit(Memory) != 70 || graft.Limit(Memory) != 30 || graft.Limit(Sockets) != 1 || graft.Billed() != proc {
+		t.Fatalf("after Fund: %v / %v", proc, graft)
+	}
+}
+
 func TestBilling(t *testing.T) {
 	proc := NewAccount("proc")
 	graft := NewAccount("graft")

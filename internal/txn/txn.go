@@ -500,8 +500,21 @@ func (m *Manager) setCurrent(t *sched.Thread, tx *Txn) {
 //
 // Run recovers graft panics but re-panics kill signals so thread
 // destruction still works.
-func (m *Manager) Run(t *sched.Thread, fn func(tx *Txn) error) (err error) {
-	tx := m.Begin(t)
+func (m *Manager) Run(t *sched.Thread, fn func(tx *Txn) error) error {
+	return execute(t, m.Begin(t), fn)
+}
+
+// RunUnprotected is Run without the transaction: fn receives a nil
+// *Txn, so nothing it does is undone and no lock it takes is
+// registered, but its failures are classified and returned exactly as
+// Run returns them, and kill signals and classified kernel panics
+// escape exactly as they do from Run. It is the counterfactual the
+// transaction ablation measures (graft.Point.NoTxn).
+func RunUnprotected(t *sched.Thread, fn func(tx *Txn) error) error {
+	return execute(t, nil, fn)
+}
+
+func execute(t *sched.Thread, tx *Txn, fn func(tx *Txn) error) (err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -511,17 +524,21 @@ func (m *Manager) Run(t *sched.Thread, fn func(tx *Txn) error) (err error) {
 		if reason == nil {
 			panic(r) // kill signal or foreign panic type we must not eat
 		}
-		if tx.state == Active {
+		if tx != nil && tx.state == Active {
 			tx.Abort()
 		}
 		t.ClearAbort()
 		err = &AbortedError{Reason: reason}
 	}()
 	if err := fn(tx); err != nil {
-		tx.Abort()
+		if tx != nil {
+			tx.Abort()
+		}
 		return &AbortedError{Reason: err}
 	}
-	tx.Commit()
+	if tx != nil {
+		tx.Commit()
+	}
 	return nil
 }
 
