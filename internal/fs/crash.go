@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -297,10 +298,15 @@ func (fs *FS) CrashExport() ([]byte, error) {
 // CrashImport implements crash.Exporter: files are recreated through
 // the normal namespace path and their block contents injected. Meant
 // for a freshly built file system (the disk image stands in for the
-// machine that crashed).
+// machine that crashed). The whole image is checked first (checkImport),
+// so one the file system could not serve is rejected with its files,
+// directories and LBA cursor as they were.
 func (fs *FS) CrashImport(data []byte) error {
 	var ex fsExport
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ex); err != nil {
+		return err
+	}
+	if err := fs.checkImport(&ex); err != nil {
 		return err
 	}
 	for _, d := range ex.Dirs {
@@ -309,6 +315,35 @@ func (fs *FS) CrashImport(data []byte) error {
 	for _, fe := range ex.Files {
 		f := fs.Create(fe.Name, fe.Size, graft.UID(fe.Owner), fe.Public)
 		f.dirty = copyDirty(fe.Dirty)
+	}
+	return nil
+}
+
+// checkImport rejects a durable image the file system could not serve:
+// a negative size, or one whose block count or the LBA cursor Create
+// advances would overflow; a name given twice; a dirty block outside
+// its file or not exactly BlockSize bytes.
+func (fs *FS) checkImport(ex *fsExport) error {
+	lba := fs.nextLBA
+	seen := make(map[string]bool, len(ex.Files))
+	for _, fe := range ex.Files {
+		if seen[fe.Name] {
+			return fmt.Errorf("fs: import: file %q given twice", fe.Name)
+		}
+		seen[fe.Name] = true
+		if fe.Size < 0 || fe.Size > math.MaxInt64-(BlockSize-1) {
+			return fmt.Errorf("fs: import: file %q has size %d", fe.Name, fe.Size)
+		}
+		blocks := (fe.Size + BlockSize - 1) / BlockSize
+		if lba > math.MaxInt64-fileGap-blocks {
+			return fmt.Errorf("fs: import: file %q overflows the disk's block addresses", fe.Name)
+		}
+		lba += blocks + fileGap
+		for b, d := range fe.Dirty {
+			if b < 0 || b >= blocks || len(d) != BlockSize {
+				return fmt.Errorf("fs: import: file %q holds a dirty block outside its %d blocks or not %d bytes", fe.Name, blocks, BlockSize)
+			}
+		}
 	}
 	return nil
 }

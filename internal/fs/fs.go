@@ -161,12 +161,15 @@ func (fs *FS) curOwner() string {
 	return crash.Owner(fs.k.Sched.Current())
 }
 
+// fileGap is the run of unused blocks Create leaves after each file.
+const fileGap = 16
+
 // Create makes a file of the given size owned by owner. Content is
 // deterministic: byte i of block b is a function of (lba, i), so tests
 // can verify reads without storing the data.
 func (fs *FS) Create(name string, size int64, owner graft.UID, public bool) *File {
 	f := &File{Name: name, Size: size, Owner: owner, Public: public, start: fs.nextLBA, fs: fs, dirty: make(map[int64][]byte), genCreated: fs.crashGen(), crashOwner: fs.curOwner()}
-	fs.nextLBA += (size+BlockSize-1)/BlockSize + 16 // gap between files
+	fs.nextLBA += (size+BlockSize-1)/BlockSize + fileGap
 	fs.files[name] = f
 	return f
 }

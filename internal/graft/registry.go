@@ -848,24 +848,27 @@ func (r *Registry) CrashExport() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// CrashImport implements crash.Exporter. Each record's image is decoded
-// and goes through the loader exactly as at first install: the
-// supervisor's bar, the point's privilege against the recorded owner,
-// the signature (or the unsafe gate), the SFI invariants, the entry
-// point, occupancy and the link. Grafts whose points already exist
-// (registered by subsystems that initialise before the import) load
-// immediately; the rest wait on the pending list until RegisterPoint
-// re-creates their point — the fs, vmm and netstk importers run after
-// this one and re-register points through their normal creation
-// paths, flushing the matches. Grafts that share a resource account (a
-// tenant's) share it again after import.
+// CrashImport implements crash.Exporter. The whole payload is checked
+// first: a record whose image does not decode, or whose account carries
+// a negative limit, fails the import with nothing installed or pending.
+// Then each record's image goes through the loader exactly as at first
+// install: the supervisor's bar, the point's privilege against the
+// recorded owner, the signature (or the unsafe gate), the SFI
+// invariants, the entry point, occupancy and the link; a record the
+// loader rejects is dropped and counted on its own. Grafts whose points
+// already exist (registered by subsystems that initialise before the
+// import) load immediately; the rest wait on the pending list until
+// RegisterPoint re-creates their point — the fs, vmm and netstk
+// importers run after this one and re-register points through their
+// normal creation paths, flushing the matches. Grafts that share a
+// resource account (a tenant's) share it again after import.
 func (r *Registry) CrashImport(data []byte) error {
 	var ex registryExport
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ex); err != nil {
 		return err
 	}
-	accts := make(map[string]*resource.Account)
-	for _, rec := range ex.Grafts {
+	imgs := make([]*sfi.Image, len(ex.Grafts))
+	for i, rec := range ex.Grafts {
 		decode := sfi.DecodeSigned
 		if rec.Unsafe {
 			decode = sfi.Decode
@@ -874,6 +877,15 @@ func (r *Registry) CrashImport(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("graft: import %q at %q: %w", rec.Account, rec.Point, err)
 		}
+		for _, n := range rec.Limits {
+			if n < 0 {
+				return fmt.Errorf("graft: import %q at %q: negative account limit", rec.Account, rec.Point)
+			}
+		}
+		imgs[i] = img
+	}
+	accts := make(map[string]*resource.Account)
+	for i, rec := range ex.Grafts {
 		acct, ok := accts[rec.Account]
 		if !ok {
 			acct = resource.NewAccount(rec.Account)
@@ -884,7 +896,7 @@ func (r *Registry) CrashImport(data []byte) error {
 		}
 		pg := &pendingGraft{
 			point: rec.Point,
-			img:   img,
+			img:   imgs[i],
 			owner: UID(rec.Owner),
 			opts:  InstallOptions{Entry: rec.Entry, Order: rec.Order, AllowUnsafe: rec.Unsafe, Account: acct},
 		}

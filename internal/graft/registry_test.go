@@ -217,6 +217,43 @@ func TestImportedRecordPassesInstallChecks(t *testing.T) {
 	}
 }
 
+// TestMalformedImportLoadsNothing: the importer checks the whole
+// payload before it loads or queues any record. A payload whose last
+// record carries an image that does not decode, or a negative account
+// limit, fails the import without a panic; the good records ahead of
+// it are neither installed at their existing point nor pending for
+// their absent one.
+func TestMalformedImportLoadsNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*graftRecord)
+	}{
+		{"undecodable image", func(r *graftRecord) { r.Image = []byte("not an image") }},
+		{"negative limit", func(r *graftRecord) { r.Limits = map[resource.Kind]int64{resource.Memory: -1} }},
+	}
+	ex := exportDouble(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			good, pending, bad := ex.Grafts[0], ex.Grafts[0], ex.Grafts[0]
+			pending.Point = "q"
+			bad.Point, bad.Account = "r", "bad"
+			tc.edit(&bad)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&registryExport{Grafts: []graftRecord{good, pending, bad}}); err != nil {
+				t.Fatal(err)
+			}
+			e := newEnv()
+			p := e.reg.RegisterPoint(newFnPoint("p"))
+			if err := e.reg.CrashImport(buf.Bytes()); err == nil {
+				t.Fatal("CrashImport accepted a malformed payload")
+			}
+			if st := e.reg.Stats(); st.Installs != 0 || st.InstallRejects != 0 || p.Grafted() || len(e.reg.pending) != 0 {
+				t.Fatalf("stats %+v, grafted %v, %d pending; want nothing loaded or queued", st, p.Grafted(), len(e.reg.pending))
+			}
+		})
+	}
+}
+
 // TestKernelPanicEscapesEveryPoint: a classified kernel panic raised in
 // a callable is not a graft abort. It reaches the scheduler (where the
 // kernel's recovery boundary contains it) on a NoTxn point exactly as

@@ -288,8 +288,8 @@ func TxnProtectionAblation() (*TxnAblationResult, error) {
 			Watchdog:  time.Second,
 		})
 		var holderFreed bool
-		_, err = e.measureOn(func(t *sched.Thread) time.Duration {
-			img, berr := e.buildVariant(`
+		err = e.measureOn(func(t *sched.Thread) error {
+			if _, err := e.install(t, point.Name, `
 .name wrecker
 .import ablate.mutate_and_lock
 .func main
@@ -299,16 +299,12 @@ main:
     movi r9, 0
     div r0, r0, r9
     ret
-`, true)
-			if berr != nil {
-				panic(berr)
-			}
-			if _, ierr := e.install(t, point.Name, img, graft.InstallOptions{}); ierr != nil {
-				panic(ierr)
+`, true); err != nil {
+				return err
 			}
 			_, _ = point.Invoke(t, 0)
 			holderFreed = l.HolderCount() == 0
-			return 0
+			return nil
 		})
 		if err != nil {
 			return false, false, err

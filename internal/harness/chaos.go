@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -709,9 +710,9 @@ func (c *chaosRun) phaseReadAhead() error {
 			next := (off + vfs.BlockSize) % (blocks * vfs.BlockSize)
 			if !g.Removed() {
 				heap := g.VM().Heap()
-				poke64(heap, 0, next)
-				poke64(heap, 8, vfs.BlockSize)
-				poke64(heap, 16, int64(of.FD()))
+				binary.LittleEndian.PutUint64(heap[0:], uint64(next))
+				binary.LittleEndian.PutUint64(heap[8:], vfs.BlockSize)
+				binary.LittleEndian.PutUint64(heap[16:], uint64(of.FD()))
 			}
 			if _, err := of.ReadAt(t, buf, off); err != nil {
 				if !errors.Is(err, fault.ErrInjected) {

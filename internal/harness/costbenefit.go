@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -43,43 +44,41 @@ func ReadAheadWinSweep(computesUS []float64) ([]RAWinPoint, error) {
 		e := newEnv()
 		fsys := vfs.New(e.K, vfs.NewDisk(vfs.FujitsuM2694ESA()), 8192)
 		fsys.Create("db", 12<<20, graft.Root, false)
-		total, err := e.measureOn(func(t *sched.Thread) time.Duration {
+		var total time.Duration
+		err := e.measureOn(func(t *sched.Thread) error {
 			of, err := fsys.Open(t, "db")
 			if err != nil {
-				panic(err)
+				return err
 			}
 			var g *graft.Installed
 			if useGraft {
-				img, err := e.buildVariant(raGraftBody, true)
-				if err != nil {
-					panic(err)
+				if g, err = e.install(t, of.RAPoint().Name, raGraftBody, true); err != nil {
+					return err
 				}
-				g, err = e.install(t, of.RAPoint().Name, img, graft.InstallOptions{})
-				if err != nil {
-					panic(err)
-				}
-				poke64(g.VM().Heap(), 16, int64(of.FD()))
+				binary.LittleEndian.PutUint64(g.VM().Heap()[16:], uint64(of.FD()))
 			}
 			buf := make([]byte, vfs.BlockSize)
 			compute := time.Duration(computeUS * float64(time.Microsecond))
 			start := e.K.Clock.Now()
 			for i, b := range pattern {
 				if g != nil {
+					heap := g.VM().Heap()
 					if i+1 < len(pattern) {
-						poke64(g.VM().Heap(), 0, pattern[i+1]*vfs.BlockSize)
-						poke64(g.VM().Heap(), 8, vfs.BlockSize)
+						binary.LittleEndian.PutUint64(heap[0:], uint64(pattern[i+1]*vfs.BlockSize))
+						binary.LittleEndian.PutUint64(heap[8:], vfs.BlockSize)
 					} else {
-						poke64(g.VM().Heap(), 8, 0)
+						binary.LittleEndian.PutUint64(heap[8:], 0)
 					}
 				}
 				if _, err := of.ReadAt(t, buf, b*vfs.BlockSize); err != nil {
-					panic(err)
+					return err
 				}
 				if compute > 0 {
 					t.Charge(compute)
 				}
 			}
-			return e.K.Clock.Now() - start
+			total = e.K.Clock.Now() - start
+			return nil
 		})
 		if err != nil {
 			return 0, err
@@ -161,22 +160,18 @@ func measureEvictionAgreement() (float64, error) {
 	const pages = 512
 	v := vmm.New(e.K, pages+128)
 	iters := 60
-	total, err := e.measureOn(func(t *sched.Thread) time.Duration {
+	var total time.Duration
+	err := e.measureOn(func(t *sched.Thread) error {
 		vas := v.NewVAS(t)
-		point := vas.EvictPoint()
-		img, err := e.buildVariant(evictGraftBody, true)
+		g, err := e.install(t, vas.EvictPoint().Name, evictGraftBody, true)
 		if err != nil {
-			panic(err)
-		}
-		g, err := e.install(t, point.Name, img, graft.InstallOptions{})
-		if err != nil {
-			panic(err)
+			return err
 		}
 		heap := g.VM().Heap()
 		hot := []int64{0, 1, 2}
-		poke64(heap, 0, int64(len(hot)))
+		binary.LittleEndian.PutUint64(heap, uint64(len(hot)))
 		for i, h := range hot {
-			poke64(heap, 8+8*i, h)
+			binary.LittleEndian.PutUint64(heap[8+8*i:], uint64(h))
 		}
 		for i := int64(0); i < pages; i++ {
 			vas.Touch(t, i)
@@ -187,9 +182,10 @@ func measureEvictionAgreement() (float64, error) {
 			vas.Touch(t, cold)
 			v.MakeVictimNext(vas, cold)
 		}
-		return timed(e.K, iters, setup, func() {
+		total = timed(e.K, iters, setup, func() {
 			v.EvictOne(t)
 		})
+		return nil
 	})
 	if err != nil {
 		return 0, err

@@ -10,13 +10,15 @@
 //	Abort   the safe path ending in transaction abort instead of commit
 //
 // — and measures each in deterministic virtual time on the simulated
-// 120 MHz kernel. Results are reported alongside the paper's measured
-// values; the reproduction claim is about *shape* (ordering, which
-// increments dominate, ratios), not absolute microseconds, since the
-// substrate is a simulator calibrated to the paper's cost constants
-// where the paper states them (transaction begin/commit, lock costs,
-// function-call cost, disk latency) and derives the rest from its own
-// instruction cost model.
+// 120 MHz kernel. Each sample graft is defined once (sample): its graft
+// code, the paper's values and one rig, which Tables 3–6, Table 7's
+// abort costs and the host-clock benchmarks (RunPath) all run. Results
+// are reported alongside the paper's measured values; the reproduction
+// claim is about *shape* (ordering, which increments dominate, ratios),
+// not absolute microseconds, since the substrate is a simulator
+// calibrated to the paper's cost constants where the paper states them
+// (transaction begin/commit, lock costs, function-call cost, disk
+// latency) and derives the rest from its own instruction cost model.
 package harness
 
 import (
@@ -103,6 +105,88 @@ func (t *Table) String() string {
 // count to amortise warm-up effects (cold caches, queue growth).
 const defaultIters = 200
 
+// sample is one of the paper's four sample grafts (§4), defined once:
+// its graft code, the paper's values for its table and for Table 7, and
+// the rig every measurement of it runs on — its virtual-time table,
+// Table 7's abort costs and the host-clock benchmarks (RunPath).
+type sample struct {
+	table      int
+	title      string
+	notes      []string
+	paper      [6]float64 // the paper's elapsed us, in PathOrder
+	abortRow   string     // the sample's Table 7 row
+	paperAbort [2]float64 // the paper's Table 7 null and full abort us
+	iters      int        // ops per path
+	body       string     // the graft, run by the Unsafe and Safe paths
+	abort      string     // the graft trapping after its work: the Abort path
+	// rig builds a fresh kernel, point and workload for path, installs
+	// src there (SFI-rewritten when safe; nothing when src is ""), and
+	// calls loop on the measuring thread.
+	rig func(path, src string, safe bool, loop func(*run)) error
+}
+
+// run is one path's rig as a driver's loop sees it on the measuring
+// thread.
+type run struct {
+	k     *kernel.Kernel
+	g     *graft.Installed // nil on the Base and VINO paths
+	setup func(i int)      // prepares op i; the virtual clock excludes it
+	op    func()
+}
+
+// noSetup is the setup of a rig whose ops need none.
+func noSetup(int) {}
+
+// samples are the four sample grafts, in table order.
+var samples = []*sample{readAhead, pageEviction, scheduling, encryption}
+
+// runPath runs s's rig for one of the six paths with the graft that
+// path installs: none on Base and VINO, the null graft on Null, the
+// body raw on Unsafe and SFI-rewritten on Safe, the abort variant on
+// Abort.
+func (s *sample) runPath(path string, loop func(*run)) error {
+	switch path {
+	case PathBase, PathVINO:
+		return s.rig(path, "", false, loop)
+	case PathNull:
+		return s.rig(path, nullGraftSrc, true, loop)
+	case PathUnsafe:
+		return s.rig(path, s.body, false, loop)
+	case PathSafe:
+		return s.rig(path, s.body, true, loop)
+	case PathAbort:
+		return s.rig(path, s.abort, true, loop)
+	}
+	return fmt.Errorf("harness: unknown path %q", path)
+}
+
+// measure builds s's table: each path's virtual time per op, over
+// s.iters ops on a fresh rig.
+func (s *sample) measure() (*Table, error) {
+	tbl := &Table{Number: s.table, Title: s.title, Notes: append([]string(nil), s.notes...)}
+	for i, path := range PathOrder {
+		var total time.Duration
+		if err := s.runPath(path, func(r *run) { total = timed(r.k, s.iters, r.setup, r.op) }); err != nil {
+			return nil, fmt.Errorf("table %d %s: %w", s.table, path, err)
+		}
+		tbl.Rows = append(tbl.Rows, Row{Path: path, ElapsedUS: usPerOp(total, s.iters), PaperUS: s.paper[i]})
+	}
+	return tbl, nil
+}
+
+// RunPath builds the rig of Table n (3–6) for one of PathOrder's paths
+// and calls loop on its measuring thread with the table's op count, the
+// per-op setup and the op. The host-clock benchmarks drive it, so they
+// time the program the virtual table times.
+func RunPath(n int, path string, loop func(iters int, setup func(i int), op func())) error {
+	for _, s := range samples {
+		if s.table == n {
+			return s.runPath(path, func(r *run) { loop(s.iters, r.setup, r.op) })
+		}
+	}
+	return fmt.Errorf("harness: no sample graft for table %d", n)
+}
+
 // env is one measurement kernel.
 type env struct {
 	K *kernel.Kernel
@@ -126,37 +210,37 @@ func usPerOp(d time.Duration, n int) float64 {
 	return float64(d) / float64(n) / float64(time.Microsecond)
 }
 
-// measureOn runs body on a Root process thread and returns its result.
-// body receives the thread and reports total virtual duration of the
-// timed region.
-func (e *env) measureOn(body func(t *sched.Thread) time.Duration) (time.Duration, error) {
-	var out time.Duration
+// measureOn runs body on a Root process thread, drives the kernel to
+// completion and returns the kernel's error, else body's.
+func (e *env) measureOn(body func(t *sched.Thread) error) error {
+	var err error
 	e.K.SpawnProcess("harness", graft.Root, func(p *kernel.Process) {
-		out = body(p.Thread)
+		err = body(p.Thread)
 	})
-	if err := e.K.Run(); err != nil {
-		return 0, err
+	if rerr := e.K.Run(); rerr != nil {
+		return rerr
 	}
-	return out, nil
+	return err
 }
 
-// buildVariant compiles graft source according to the path being
-// measured: rewritten+signed for Safe/Abort, raw for Unsafe.
-func (e *env) buildVariant(src string, safe bool) (*sfi.Image, error) {
+// install builds src — rewritten and signed when safe, raw otherwise —
+// and installs it at point, through the unsafe backdoor when raw. With
+// src "" it installs nothing and returns nil.
+func (e *env) install(t *sched.Thread, point, src string, safe bool) (*graft.Installed, error) {
+	if src == "" {
+		return nil, nil
+	}
+	var img *sfi.Image
+	var err error
 	if safe {
-		img, _, err := sfi.BuildSafe(src, e.K.Signer)
-		return img, err
+		img, _, err = sfi.BuildSafe(src, e.K.Signer)
+	} else {
+		img, err = sfi.BuildUnsafe(src)
 	}
-	return sfi.BuildUnsafe(src)
-}
-
-// install places a graft variant at a point, using the unsafe backdoor
-// when the image is unprotected.
-func (e *env) install(t *sched.Thread, point string, img *sfi.Image, opts graft.InstallOptions) (*graft.Installed, error) {
-	if !img.Safe {
-		opts.AllowUnsafe = true
+	if err != nil {
+		return nil, err
 	}
-	return e.K.Grafts.Install(t, point, img, opts)
+	return e.K.Grafts.Install(t, point, img, graft.InstallOptions{AllowUnsafe: !safe})
 }
 
 // timed accumulates the virtual time of op over iters iterations,

@@ -1,142 +1,99 @@
 package harness
 
 import (
-	"fmt"
-	"time"
+	"encoding/binary"
 
 	"vino/internal/fs"
 	"vino/internal/graft"
 	"vino/internal/sched"
 )
 
-// Paper values for Table 3 (Read-ahead Graft Overhead), elapsed us.
-var paperTable3 = map[string]float64{
-	PathBase: 0.5, PathVINO: 1.5, PathNull: 67, PathUnsafe: 104, PathSafe: 107, PathAbort: 108,
-}
-
 // raGraftBody is the §4.1.2 read-ahead graft: read the application's
 // announced next extent from the shared buffer (graft heap: offset 0 =
-// next offset, 8 = next size, 16 = fd) and pass it to fs.prefetch. The
-// ret at the end is main's single exit.
-const raGraftBody = `
+// next offset, 8 = next size, 16 = fd) and pass it to fs.prefetch. An
+// empty announcement (size 0) prefetches nothing.
+const raGraftBody = raLoad + `    jz r4, nothing
+` + raPrefetch + `    ret
+nothing:
+    movi r0, 0
+    ret
+`
+
+// raLoad and raPrefetch are the read-ahead graft's work: load the
+// announced extent, then prefetch it.
+const (
+	raLoad = `
 .name compute-ra
 .import fs.prefetch
 .func main
 main:
     ld r3, [r10+0]
     ld r4, [r10+8]
-    jz r4, nothing
-    ld r1, [r10+16]
-    mov r2, r3
-    mov r3, r4
-    callk fs.prefetch
-    ret
-nothing:
-    movi r0, 0
-    ret
 `
-
-// raGraftAbortBody is the same graft trapping after its work.
-const raGraftAbortBody = `
-.name compute-ra-abort
-.import fs.prefetch
-.func main
-main:
-    ld r3, [r10+0]
-    ld r4, [r10+8]
-    ld r1, [r10+16]
+	raPrefetch = `    ld r1, [r10+16]
     mov r2, r3
     mov r3, r4
     callk fs.prefetch
-` + trapTail
+`
+)
 
-// ReadAheadTable reproduces Table 3: the cost decomposition of the
-// read-ahead graft, measured per compute-ra decision (3000 random 4 KB
-// reads of a 12 MB file is the enclosing workload; the table isolates
-// the per-read policy cost).
-func ReadAheadTable() (*Table, error) {
-	tbl := &Table{Number: 3, Title: "Read-ahead Graft Overhead (us per compute-ra decision)"}
-	type variant struct {
-		path  string
-		graft string // "" = no graft
-		safe  bool
-	}
-	variants := []variant{
-		{PathBase, "", false},
-		{PathVINO, "", false},
-		{PathNull, nullGraftSrc, true},
-		{PathUnsafe, raGraftBody, false},
-		{PathSafe, raGraftBody, true},
-		{PathAbort, raGraftAbortBody, true},
-	}
-	for _, v := range variants {
-		us, err := measureReadAheadPath(v.path, v.graft, v.safe)
-		if err != nil {
-			return nil, fmt.Errorf("table 3 %s: %w", v.path, err)
-		}
-		tbl.Rows = append(tbl.Rows, Row{Path: v.path, ElapsedUS: us, PaperUS: paperTable3[v.path]})
-	}
-	tbl.Notes = append(tbl.Notes,
+// readAhead is Table 3: the cost decomposition of the read-ahead graft,
+// measured per compute-ra decision (3000 random 4 KB reads of a 12 MB
+// file is the enclosing workload; the table isolates the per-read
+// policy cost).
+var readAhead = &sample{
+	table: 3,
+	title: "Read-ahead Graft Overhead (us per compute-ra decision)",
+	notes: []string{
 		"workload: announce-next-read pattern over a 12 MB file, per paper §4.1.3",
-		"lock overhead appears between Null and Unsafe: fs.prefetch takes the shared-buffer lock under the transaction")
-	return tbl, nil
-}
-
-func measureReadAheadPath(path, graftSrc string, safe bool) (float64, error) {
-	e := newEnv()
-	fsys := fs.New(e.K, fs.NewDisk(fs.FujitsuM2694ESA()), 4096)
-	fsys.Create("db", 12<<20, graft.Root, false)
-	iters := defaultIters
-	total, err := e.measureOn(func(t *sched.Thread) time.Duration {
-		of, err := fsys.Open(t, "db")
-		if err != nil {
-			panic(err)
-		}
-		point := of.RAPoint()
-		var g *graft.Installed
-		if graftSrc != "" {
-			img, err := e.buildVariant(graftSrc, safe)
+		"lock overhead appears between Null and Unsafe: fs.prefetch takes the shared-buffer lock under the transaction",
+	},
+	paper:      [6]float64{0.5, 1.5, 67, 104, 107, 108},
+	abortRow:   "Read-Ahead",
+	paperAbort: [2]float64{32, 45},
+	iters:      defaultIters,
+	body:       raGraftBody,
+	// Every op of the rig announces an extent, so the abort variant
+	// drops the empty-announcement guard: it always prefetches, then
+	// traps.
+	abort: raLoad + raPrefetch + trapTail,
+	rig: func(path, src string, safe bool, loop func(*run)) error {
+		e := newEnv()
+		fsys := fs.New(e.K, fs.NewDisk(fs.FujitsuM2694ESA()), 4096)
+		fsys.Create("db", 12<<20, graft.Root, false)
+		return e.measureOn(func(t *sched.Thread) error {
+			of, err := fsys.Open(t, "db")
 			if err != nil {
-				panic(err)
+				return err
 			}
+			point := of.RAPoint()
 			point.KeepOnAbort = true
-			g, err = e.install(t, point.Name, img, graft.InstallOptions{})
+			g, err := e.install(t, point.Name, src, safe)
 			if err != nil {
-				panic(err)
+				return err
 			}
-		}
-		// The application announces a different next extent each
-		// iteration (host-side pokes cost no virtual time).
-		blocks := of.File().Blocks()
-		setup := func(i int) {
-			of.ResetPrefetchQueue()
-			if g != nil {
-				heap := g.VM().Heap()
-				poke64(heap, 0, (int64(i*37)%blocks)*fs.BlockSize)
-				poke64(heap, 8, fs.BlockSize)
-				poke64(heap, 16, int64(of.FD()))
+			// The application announces a different next extent each
+			// op (host-side pokes cost no virtual time).
+			blocks := of.File().Blocks()
+			r := &run{k: e.K, g: g, setup: func(i int) {
+				of.ResetPrefetchQueue()
+				if g != nil {
+					heap := g.VM().Heap()
+					binary.LittleEndian.PutUint64(heap[0:], uint64(int64(i*37)%blocks*fs.BlockSize))
+					binary.LittleEndian.PutUint64(heap[8:], fs.BlockSize)
+					binary.LittleEndian.PutUint64(heap[16:], uint64(of.FD()))
+				}
+			}}
+			if path == PathBase {
+				r.op = func() { of.ComputeRABase(t, 0, fs.BlockSize) }
+			} else {
+				r.op = func() { _, _ = point.Invoke(t, 0, fs.BlockSize) }
 			}
-		}
-		off, size := int64(0), int64(fs.BlockSize)
-		switch path {
-		case PathBase:
-			return timed(e.K, iters, setup, func() {
-				of.ComputeRABase(t, off, size)
-			})
-		default:
-			return timed(e.K, iters, setup, func() {
-				_, _ = point.Invoke(t, off, size)
-			})
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return usPerOp(total, iters), nil
+			loop(r)
+			return nil
+		})
+	},
 }
 
-func poke64(heap []byte, off int, v int64) {
-	for i := 0; i < 8; i++ {
-		heap[off+i] = byte(uint64(v) >> (8 * i))
-	}
-}
+// ReadAheadTable reproduces Table 3.
+func ReadAheadTable() (*Table, error) { return readAhead.measure() }
