@@ -128,9 +128,9 @@ func WithCheckpoints(every time.Duration) Option {
 // WithCheckpointRing keeps a ring of the n most recent checkpoints
 // instead of only the latest (default 1). Recovery from a panic whose
 // corruption predates the newest checkpoint (KernelPanic.TaintedAt)
-// rolls back to the newest checkpoint taken before the taint; ring
-// eviction folds the oldest delta into the base, so memory stays
-// bounded by n plus the delta chain.
+// rolls back to the newest checkpoint taken before the taint. Every
+// entry is a full image sharing the file blocks and log lines that
+// never change, and a full ring drops its oldest entry.
 func WithCheckpointRing(n int) Option {
 	return func(c *Config) { c.CheckpointRing = n }
 }
@@ -159,7 +159,8 @@ func WithRecoverScope(scope string) Option {
 // checkpoint writes a gob manifest (cp-<seq>.gob) of the snapshot set's
 // exportable state, compacted on an exponential-age schedule so old
 // images thin out while recent ones stay dense. A later process can
-// rebuild the durable state with Kernel.RestoreFromDisk.
+// rebuild the durable state with Kernel.RestoreFromDisk, then take its
+// first checkpoint with Kernel.Checkpoint once its own state is whole.
 func WithCheckpointDir(dir string) Option {
 	return func(c *Config) { c.CheckpointDir = dir }
 }
@@ -472,7 +473,6 @@ type TraceKind = trace.Kind
 // render with Dump; count lifetime emissions with Total.
 const (
 	TraceGraftInstall  = trace.GraftInstall
-	TraceGraftReject   = trace.GraftReject
 	TraceGraftCommit   = trace.GraftCommit
 	TraceGraftAbort    = trace.GraftAbort
 	TraceGraftRemove   = trace.GraftRemove

@@ -233,76 +233,56 @@ func BenchmarkSMPThroughput(b *testing.B) {
 }
 
 // BenchmarkCheckpoint measures one checkpoint capture on the large-fs
-// crash workload — 4096 blocks of file state, a given fraction of it
-// re-dirtied before each capture — under full-copy and incremental
-// modes. The full-copy rows are the seed protocol's cost; incremental
-// capture at 10% dirty must come in at least ~5x cheaper in both time
-// and bytes/op (the captured block payload, reported as a metric).
+// crash workload: 4096 blocks of file state, a given fraction of it
+// re-dirtied before each capture. Every capture is a full image that
+// shares the stored blocks, so its cost tracks the block map, not the
+// block bytes.
 func BenchmarkCheckpoint(b *testing.B) {
 	const nblocks = 4096
-	for _, mode := range []struct {
-		name     string
-		fullCopy bool
-	}{
-		{"full", true},
-		{"incremental", false},
-	} {
-		for _, pct := range []int{1, 10, 100} {
-			b.Run(fmt.Sprintf("%s/dirty=%d%%", mode.name, pct), func(b *testing.B) {
-				k := kernel.New(kernel.Config{
-					Timeslice:       time.Hour,
-					ZeroTxnCosts:    true,
-					CheckpointEvery: time.Hour, // explicit captures only
-				})
-				k.Crash.SetIncremental(!mode.fullCopy)
-				fsys := vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), nblocks+64)
-				fsys.Create("bench-db", nblocks*vfs.BlockSize, graft.Root, false)
-				stride := 1
-				if pct < 100 {
-					stride = 100 / pct
-				}
-				writeBlocks := func(stride, phase int) {
-					runOnThread(b, k, func(t *sched.Thread) {
-						of, err := fsys.Open(t, "bench-db")
-						if err != nil {
+	for _, pct := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("dirty=%d%%", pct), func(b *testing.B) {
+			k := kernel.New(kernel.Config{
+				Timeslice:       time.Hour,
+				ZeroTxnCosts:    true,
+				CheckpointEvery: time.Hour, // explicit captures only
+			})
+			fsys := vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), nblocks+64)
+			fsys.Create("bench-db", nblocks*vfs.BlockSize, graft.Root, false)
+			stride := 1
+			if pct < 100 {
+				stride = 100 / pct
+			}
+			writeBlocks := func(stride, phase int) {
+				runOnThread(b, k, func(t *sched.Thread) {
+					of, err := fsys.Open(t, "bench-db")
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					defer of.Close()
+					buf := make([]byte, vfs.BlockSize)
+					for blk := phase % stride; blk < nblocks; blk += stride {
+						if _, err := of.WriteAt(t, buf, int64(blk)*vfs.BlockSize); err != nil {
 							b.Error(err)
 							return
 						}
-						defer of.Close()
-						buf := make([]byte, vfs.BlockSize)
-						for blk := phase % stride; blk < nblocks; blk += stride {
-							if _, err := of.WriteAt(t, buf, int64(blk)*vfs.BlockSize); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					})
-				}
-				writeBlocks(1, 0) // the state: every block written once
-				k.Checkpoint()    // base image
-				writeBlocks(stride, 0)
-				// The payload one capture carries in this mode, measured
-				// on the real capture path.
-				var payload int64
-				if mode.fullCopy {
-					payload = vfs.SnapshotBytes(fsys.CrashSnapshot())
-				} else {
-					payload = vfs.SnapshotBytes(fsys.CrashDelta(k.Crash.Gen() - 1))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i > 0 {
-						b.StopTimer()
-						writeBlocks(stride, i) // fresh dirt, phase-shifted
-						b.StartTimer()
 					}
-					k.Checkpoint()
+				})
+			}
+			writeBlocks(1, 0) // the state: every block written once
+			k.Checkpoint()
+			writeBlocks(stride, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 {
+					b.StopTimer()
+					writeBlocks(stride, i) // fresh dirt, phase-shifted
+					b.StartTimer()
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(payload), "bytes/op")
-			})
-		}
+				k.Checkpoint()
+			}
+		})
 	}
 }
 

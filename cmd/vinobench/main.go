@@ -11,12 +11,11 @@
 //	vinobench -sweep eviction
 //	vinobench -sweep smp      # multi-CPU throughput scaling
 //	vinobench -sweep smp -ncpu 8   # sweep 1,2,4,8 simulated CPUs
-//	vinobench -sweep checkpoint    # incremental vs full-copy capture cost
 //	vinobench -sweep recovery      # whole-kernel vs per-graft domain recovery cost
 //	vinobench -sweep sfi           # SFI check cost; exit 1 if translation misses its 2x gate
-//	vinobench -sweep campaign      # chaos-campaign runs/sec vs worker-pool size
+//	vinobench -sweep campaign      # chaos-campaign runs/sec vs worker-pool size; exit 1 if a coverage map differs
 //	vinobench -sweep campaign -workers 8 -runs 64
-//	vinobench -sweep fleet         # fleet requests/sec vs instance and tenant count
+//	vinobench -sweep fleet         # fleet requests/sec vs instance and tenant count; exit 1 on a failed audit
 //	vinobench -sweep fleet -instances 4 -tenants 4
 //	vinobench -ablation lock  # Figures 4/5 policy-encapsulation cost
 //	vinobench -ablation sfidensity
@@ -37,7 +36,7 @@ import (
 func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	table := flag.Int("table", 0, "reproduce one paper table (3-7)")
-	sweep := flag.String("sweep", "", "parameter sweep: abort | readahead | eviction | timeout | smp | checkpoint | recovery | sfi | campaign | fleet")
+	sweep := flag.String("sweep", "", "parameter sweep: abort | readahead | eviction | timeout | smp | recovery | sfi | campaign | fleet")
 	ablation := flag.String("ablation", "", "design-choice ablation: lock | sfidensity | misfitopt | txn")
 	check := flag.Bool("check", false, "run semantic cross-checks")
 	jsonOut := flag.Bool("json", false, "sweep sfi: emit the result as JSON (for checked-in baselines)")
@@ -141,12 +140,6 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(s)
-		case "checkpoint":
-			pts, err := harness.CheckpointCostSweep(nil, nil)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(harness.FormatCheckpointCostSweep(pts))
 		case "recovery":
 			pts, err := harness.RecoveryCostSweep(nil)
 			if err != nil {
@@ -181,6 +174,11 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(campaign.FormatThroughputSweep(pts))
+			for _, p := range pts {
+				if !p.Identical {
+					fail(fmt.Errorf("campaign sweep: the coverage map at %d workers differs from the baseline", p.Workers))
+				}
+			}
 		case "fleet":
 			pow2 := func(max int) []int {
 				var out []int
@@ -197,6 +195,11 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(fleet.FormatThroughputSweep(pts))
+			for _, p := range pts {
+				if !p.Clean {
+					fail(fmt.Errorf("fleet sweep: %d instances x %d tenants failed the audit", p.Instances, p.Tenants))
+				}
+			}
 		default:
 			fail(fmt.Errorf("unknown sweep %q", name))
 		}
@@ -256,7 +259,6 @@ func main() {
 		runSweep("eviction")
 		runSweep("timeout")
 		runSweep("smp")
-		runSweep("checkpoint")
 		runSweep("recovery")
 		runSweep("sfi")
 		runSweep("campaign")

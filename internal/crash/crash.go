@@ -11,18 +11,15 @@
 // recovery orchestration (drain threads, restore snapshots, feed the
 // guard ledger, reset clocks) lives in the kernel, which knows the
 // subsystems. Everything here is deterministic: checkpoints are taken
-// at quiescent points in virtual time, snapshots are deep copies of
-// simulation state, and no wall-clock or randomness is consulted.
+// at quiescent points in virtual time, snapshots copy all simulation
+// state that can change, and no wall-clock or randomness is consulted.
 //
-// Checkpoints are incremental by default. The store is a bounded ring
-// of entries forming one chain: the oldest entry holds full per-
-// subsystem snapshots (the base) and each later entry holds only the
-// state changed since its predecessor, as reported by subsystems that
-// implement DeltaSnapshotter; a plain Snapshotter is copied in full at
-// every capture. Chains are consolidated — deltas folded
-// into the base — on restore, on ring eviction, and past a length
-// threshold, so both checkpoint capture and repeated restores cost
-// O(state changed) rather than O(total kernel state).
+// The store is a bounded ring of full images, oldest dropped first.
+// Capture shares what never changes instead of copying it: the file
+// system keeps its stored block slices (a write replaces a block, never
+// edits it) and the kernel keeps its append-only log capped at the
+// captured length, so a capture costs the subsystems' maps and tables,
+// not their data.
 package crash
 
 import (
@@ -191,53 +188,26 @@ func IsPanic(r any) (*Panic, bool) {
 }
 
 // Snapshotter is implemented by each subsystem whose state a checkpoint
-// captures. CrashSnapshot returns an opaque deep copy; CrashRestore
-// replaces live state with the copy's content. Both run at quiescent
+// captures. CrashSnapshot returns an opaque full image; CrashRestore
+// replaces live state with the image's content. Both run at quiescent
 // points (no simulated thread mid-operation), so implementations need
 // no locking and may rebuild volatile state (wait queues, fd tables)
 // empty, as a reboot would.
+//
+// An image copies everything live state may change and may share data
+// live state never writes in place (stored file blocks, a captured log
+// prefix): sharing is what keeps a full capture cheap.
 type Snapshotter interface {
 	// CrashName identifies the subsystem in checkpoint traces.
 	CrashName() string
-	// CrashSnapshot deep-copies restorable state.
+	// CrashSnapshot captures restorable state.
 	CrashSnapshot() any
 	// CrashRestore replaces live state with a snapshot previously
 	// returned by CrashSnapshot. Restore may run more than once from
 	// the same snapshot (repeated crashes in one checkpoint window),
-	// so it must not consume or alias the snapshot's internals.
+	// so it must not consume the snapshot or let later live writes
+	// reach its internals.
 	CrashRestore(snap any)
-}
-
-// DeltaSnapshotter is the incremental extension of Snapshotter. The
-// Manager issues generation numbers: every checkpoint capture is
-// stamped with the generation current at capture time (see Gen), and
-// subsystems stamp their mutations with Gen() so a later CrashDelta can
-// report exactly the state touched since a previous capture. Only state
-// with a real per-item delta implements it (the kernel log tail, file
-// blocks, frame-table pages); a subsystem whose image is small or
-// interlinked stays a plain Snapshotter, and the Manager takes a full
-// copy of it at every capture.
-//
-// The contract mirrors CrashSnapshot's: deltas are deep copies taken at
-// quiescent points. Over-reporting (including an unchanged item at its
-// current value) is harmless; under-reporting corrupts restores.
-type DeltaSnapshotter interface {
-	Snapshotter
-	// CrashDelta deep-copies the state modified in generations strictly
-	// after sinceGen (i.e. items whose modification stamp exceeds
-	// sinceGen, plus anything too cheap or too volatile to track
-	// per-item). A nil return reports "nothing changed" and the
-	// Manager keeps the predecessor's image for this subsystem.
-	CrashDelta(sinceGen uint64) any
-	// CrashMerge folds delta (a CrashDelta result) into base (a
-	// CrashSnapshot result or prior merge), returning a full snapshot
-	// equivalent to a CrashSnapshot taken at the delta's generation.
-	// base may be mutated and returned; delta must be left usable by
-	// the merged result (its internals may be adopted, not copied).
-	// A nil base converts the delta of a subsystem registered after
-	// the base checkpoint — whose delta therefore covers its whole
-	// lifetime — into a full snapshot.
-	CrashMerge(base, delta any) any
 }
 
 // Stats counts containment events.
@@ -249,9 +219,6 @@ type Stats struct {
 	// Recoveries completed (always ≤ Panics; a panic with no
 	// checkpoint available is fatal and not recovered).
 	Recoveries int64
-	// Consolidations counts delta-chain folds (ring eviction, chain
-	// threshold, and restore-time consolidation).
-	Consolidations int64
 	// ScopedRecoveries counts recoveries that restored only the
 	// offending graft's rollback domain (included in Recoveries).
 	ScopedRecoveries int64
@@ -265,25 +232,18 @@ type Stats struct {
 	ByClass map[Class]int64
 }
 
-// checkpoint is one entry of the checkpoint ring. The oldest entry
-// holds full per-subsystem snapshots; later entries hold per-subsystem
-// deltas since their predecessor (delta=true), except that subsystems
-// without delta support store a fresh full copy in every entry.
+// checkpoint is one entry of the checkpoint ring: a full snapshot of
+// every subsystem registered at capture time.
 type checkpoint struct {
-	seq   int64
-	gen   uint64
-	at    time.Duration
-	snap  []any // parallel to Manager.subs at capture time
-	delta bool
+	seq  int64
+	gen  uint64
+	at   time.Duration
+	snap []any // parallel to Manager.subs at capture time
 	// tainted records that a subsystem audit reported an invariant
 	// inconsistency in the live state this entry captured — evidence
 	// that the damage predates the capture (see EvidenceTaint).
 	tainted bool
 }
-
-// DefaultMaxChain bounds the number of delta entries chained onto a
-// base before the oldest delta is folded in, independent of ring size.
-const DefaultMaxChain = 8
 
 // Manager owns the checkpoint store: registered subsystem snapshotters,
 // the cadence, and the checkpoint ring. It is passive — the kernel
@@ -291,33 +251,31 @@ const DefaultMaxChain = 8
 // points between scheduler rounds; goroutine stacks cannot be
 // snapshotted, so a checkpoint never captures a mid-flight thread).
 type Manager struct {
-	clock       *simclock.Clock
-	tr          *trace.Buffer
-	every       time.Duration
-	subs        []Snapshotter
-	entries     []*checkpoint // entries[0] is the full base; invariant: !entries[0].delta
-	ring        int
-	incremental bool
-	seq         int64
-	gen         uint64
-	stats       Stats
-	persistDir  string
-	persistErr  error
+	clock      *simclock.Clock
+	tr         *trace.Buffer
+	every      time.Duration
+	subs       []Snapshotter
+	entries    []*checkpoint // oldest first
+	ring       int
+	seq        int64
+	gen        uint64
+	stats      Stats
+	persistDir string
+	persistErr error
 }
 
 // NewManager creates a checkpoint manager with the given cadence. A
 // zero or negative cadence disables due-based checkpointing (explicit
-// TakeCheckpoint calls still work). The manager starts in incremental
-// mode with a ring of one.
+// TakeCheckpoint calls still work). The manager starts with a ring of
+// one.
 func NewManager(clock *simclock.Clock, tr *trace.Buffer, every time.Duration) *Manager {
 	return &Manager{
-		clock:       clock,
-		tr:          tr,
-		every:       every,
-		ring:        1,
-		incremental: true,
-		gen:         1,
-		stats:       Stats{ByClass: make(map[Class]int64)},
+		clock: clock,
+		tr:    tr,
+		every: every,
+		ring:  1,
+		gen:   1,
+		stats: Stats{ByClass: make(map[Class]int64)},
 	}
 }
 
@@ -334,12 +292,6 @@ func (m *Manager) SetRing(n int) {
 	m.ring = n
 	m.trim()
 }
-
-// SetIncremental switches between incremental (base + delta chain) and
-// full-copy capture. Restored state is byte-identical either way; only
-// the capture cost differs, so only the checkpoint-cost sweep, the
-// checkpoint benchmark and the differential tests turn it off.
-func (m *Manager) SetIncremental(on bool) { m.incremental = on }
 
 // Gen returns the current generation. Subsystems stamp mutations with
 // it; a capture records the generation current at capture time and the
@@ -362,33 +314,15 @@ func (m *Manager) CheckpointDue() bool {
 	return m.clock.Now()-m.entries[len(m.entries)-1].at >= m.every
 }
 
-// TakeCheckpoint captures a new kernel image at the current virtual
-// time and appends it to the ring, evicting (folding) the oldest entry
-// when the ring or chain bound is exceeded, and emits a checkpoint
-// trace event. In incremental mode the capture asks each subsystem
-// only for state changed since the previous entry's generation.
+// TakeCheckpoint captures a full image of every registered subsystem
+// at the current virtual time, appends it to the ring (dropping the
+// oldest entry when the ring is full), and emits a checkpoint trace
+// event.
 func (m *Manager) TakeCheckpoint() {
 	m.seq++
 	cp := &checkpoint{seq: m.seq, gen: m.gen, at: m.clock.Now(), snap: make([]any, len(m.subs))}
-	var prev *checkpoint
-	if len(m.entries) > 0 {
-		prev = m.entries[len(m.entries)-1]
-	}
-	// A subsystem registered after the previous entry leaves the snap
-	// arrays unaligned; fall back to a full capture for that entry.
-	if m.incremental && prev != nil && len(prev.snap) == len(m.subs) {
-		cp.delta = true
-		for i, s := range m.subs {
-			if d, ok := s.(DeltaSnapshotter); ok {
-				cp.snap[i] = d.CrashDelta(prev.gen)
-			} else {
-				cp.snap[i] = s.CrashSnapshot()
-			}
-		}
-	} else {
-		for i, s := range m.subs {
-			cp.snap[i] = s.CrashSnapshot()
-		}
+	for i, s := range m.subs {
+		cp.snap[i] = s.CrashSnapshot()
 	}
 	m.gen++
 	for _, s := range m.subs {
@@ -407,50 +341,12 @@ func (m *Manager) TakeCheckpoint() {
 	m.persist(cp)
 }
 
-// trim folds the oldest entries until the ring and chain bounds hold.
+// trim drops the oldest entries until the ring bound holds.
 func (m *Manager) trim() {
-	limit := m.ring
-	if limit > DefaultMaxChain+1 {
-		limit = DefaultMaxChain + 1
+	for len(m.entries) > m.ring {
+		m.entries[0] = nil
+		m.entries = m.entries[1:]
 	}
-	if limit < 1 {
-		limit = 1
-	}
-	for len(m.entries) > limit {
-		m.foldOldest()
-	}
-}
-
-// foldOldest consolidates the base entry into its successor, which
-// becomes the new base. Cost is O(successor's delta), not O(base):
-// merges adopt the base's structures and graft the delta on.
-func (m *Manager) foldOldest() {
-	base, next := m.entries[0], m.entries[1]
-	if next.delta {
-		merged := make([]any, len(next.snap))
-		for i, s := range m.subs {
-			if i >= len(next.snap) {
-				break
-			}
-			var bs any
-			if i < len(base.snap) {
-				bs = base.snap[i]
-			}
-			if d, ok := s.(DeltaSnapshotter); ok {
-				if next.snap[i] == nil {
-					merged[i] = bs
-				} else {
-					merged[i] = d.CrashMerge(bs, next.snap[i])
-				}
-			} else {
-				merged[i] = next.snap[i]
-			}
-		}
-		next.snap = merged
-		next.delta = false
-		m.stats.Consolidations++
-	}
-	m.entries = m.entries[1:]
 }
 
 // CheckpointIfDue takes a checkpoint when the cadence has elapsed.
@@ -498,29 +394,18 @@ func (m *Manager) RestoreBefore(cutoff time.Duration) (time.Duration, bool) {
 	return m.restoreIndex(idx)
 }
 
-// restoreIndex consolidates entries[0..k] into a single full image,
-// drops newer entries, and applies it. The consolidated entry remains
-// in the ring: restore does not consume the checkpoint, so repeated
-// restores from one window replay the same image, and the next
-// incremental capture chains onto it.
+// restoreIndex drops every entry but entries[k] and applies it. The
+// entry remains in the ring: restore does not consume the checkpoint,
+// so repeated restores from one window replay the same image. A
+// subsystem registered after the capture is left as it is.
 func (m *Manager) restoreIndex(k int) (time.Duration, bool) {
 	if k < 0 || len(m.entries) == 0 {
 		return 0, false
 	}
-	m.entries = m.entries[:k+1]
-	for len(m.entries) > 1 {
-		m.foldOldest()
-	}
-	cp := m.entries[0]
-	if cp.delta {
-		// Unreachable (entries[0] is always a full base), kept as a
-		// guard against a corrupted ring.
-		panic("crash: restore target is an unconsolidated delta")
-	}
-	for i, s := range m.subs {
-		if i < len(cp.snap) {
-			s.CrashRestore(cp.snap[i])
-		}
+	cp := m.entries[k]
+	m.entries = []*checkpoint{cp}
+	for i, snap := range cp.snap {
+		m.subs[i].CrashRestore(snap)
 	}
 	return cp.at, true
 }

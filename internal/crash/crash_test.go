@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -136,152 +137,29 @@ func TestManagerCadence(t *testing.T) {
 	}
 }
 
-// deltaSub is a DeltaSnapshotter over a keyed int store with per-key
-// generation stamps, counting full vs delta captures.
-type deltaSub struct {
-	name   string
-	gen    func() uint64
-	vals   map[int]int
-	stamp  map[int]uint64
-	fulls  int
-	deltas int
+// mapSub is a Snapshotter over a keyed int store.
+type mapSub struct {
+	name string
+	vals map[int]int
 }
 
-func newDeltaSub(name string, gen func() uint64) *deltaSub {
-	return &deltaSub{name: name, gen: gen, vals: map[int]int{}, stamp: map[int]uint64{}}
-}
+func newMapSub(name string) *mapSub { return &mapSub{name: name, vals: map[int]int{}} }
 
-func (f *deltaSub) set(k, v int) {
-	f.vals[k] = v
-	f.stamp[k] = f.gen()
-}
-
-func (f *deltaSub) CrashName() string { return f.name }
-
-func (f *deltaSub) CrashSnapshot() any {
-	f.fulls++
-	s := make(map[int]int, len(f.vals))
-	for k, v := range f.vals {
-		s[k] = v
-	}
-	return s
-}
-
-func (f *deltaSub) CrashDelta(since uint64) any {
-	f.deltas++
-	d := make(map[int]int)
-	for k, v := range f.vals {
-		if f.stamp[k] > since {
-			d[k] = v
-		}
-	}
-	if len(d) == 0 {
-		return nil
-	}
-	return d
-}
-
-func (f *deltaSub) CrashMerge(base, delta any) any {
-	d := delta.(map[int]int)
-	if base == nil {
-		return d
-	}
-	b := base.(map[int]int)
-	for k, v := range d {
-		b[k] = v
-	}
-	return b
-}
-
-func (f *deltaSub) CrashRestore(snap any) {
-	s := snap.(map[int]int)
-	f.vals = make(map[int]int, len(s))
-	for k, v := range s {
-		f.vals[k] = v
-	}
-	f.stamp = map[int]uint64{}
-}
-
-func TestIncrementalDeltaCapture(t *testing.T) {
-	clock := simclock.New(0)
-	m := NewManager(clock, nil, time.Millisecond)
-	f := newDeltaSub("d", m.Gen)
-	m.Register(f)
-
-	f.set(1, 10)
-	f.set(2, 20)
-	m.TakeCheckpoint() // base: full capture
-	if f.fulls != 1 || f.deltas != 0 {
-		t.Fatalf("base capture: fulls=%d deltas=%d", f.fulls, f.deltas)
-	}
-
-	f.set(2, 22)
-	clock.Advance(time.Millisecond)
-	m.TakeCheckpoint() // delta capture: only key 2
-	if f.deltas != 1 {
-		t.Fatalf("delta capture: deltas=%d", f.deltas)
-	}
-
-	// Mutate past the checkpoint, restore, and check both keys.
-	f.set(1, 99)
-	f.set(3, 30)
-	if at, ok := m.Restore(); !ok || at != time.Millisecond {
-		t.Fatalf("Restore = %v, %v", at, ok)
-	}
-	if f.vals[1] != 10 || f.vals[2] != 22 || len(f.vals) != 2 {
-		t.Fatalf("restored vals = %v", f.vals)
-	}
-
-	// Restore again from the same consolidated entry: not consumed.
-	f.set(1, 77)
-	m.Restore()
-	if f.vals[1] != 10 || f.vals[2] != 22 {
-		t.Fatalf("second restore gave %v", f.vals)
-	}
-
-	// Post-restore writes chain incrementally onto the consolidated
-	// base: a nil delta for an untouched sub keeps the base image.
-	f.set(3, 33)
-	clock.Advance(time.Millisecond)
-	m.TakeCheckpoint()
-	m.Restore()
-	if f.vals[1] != 10 || f.vals[2] != 22 || f.vals[3] != 33 {
-		t.Fatalf("post-restore chain restored %v", f.vals)
-	}
-}
-
-func TestNilDeltaKeepsPredecessorImage(t *testing.T) {
-	clock := simclock.New(0)
-	m := NewManager(clock, nil, time.Millisecond)
-	f := newDeltaSub("d", m.Gen)
-	m.Register(f)
-
-	f.set(1, 1)
-	m.TakeCheckpoint()
-	clock.Advance(time.Millisecond)
-	m.TakeCheckpoint() // nothing changed: delta is nil
-	f.set(1, 5)
-	if at, _ := m.Restore(); at != time.Millisecond {
-		t.Fatalf("restored at %v", at)
-	}
-	if f.vals[1] != 1 {
-		t.Fatalf("nil-delta restore gave %v", f.vals)
-	}
-}
+func (f *mapSub) CrashName() string     { return f.name }
+func (f *mapSub) CrashSnapshot() any    { return maps.Clone(f.vals) }
+func (f *mapSub) CrashRestore(snap any) { f.vals = maps.Clone(snap.(map[int]int)) }
 
 func TestRingRotationAndConsolidation(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
 	m.SetRing(3)
-	f := newDeltaSub("d", m.Gen)
+	f := newMapSub("d")
 	m.Register(f)
-	// A plain Snapshotter beside it: every entry holds its full copy,
-	// and folding must keep the newer one.
 	p := &fakeSub{name: "p"}
 	m.Register(p)
 
 	for i := 1; i <= 5; i++ {
-		f.set(i, i*10)
+		f.vals[i] = i * 10
 		p.val = i
 		m.TakeCheckpoint()
 		clock.Advance(time.Millisecond)
@@ -289,11 +167,8 @@ func TestRingRotationAndConsolidation(t *testing.T) {
 	if m.Checkpoints() != 3 {
 		t.Fatalf("ring holds %d entries, want 3", m.Checkpoints())
 	}
-	if m.Stats().Consolidations == 0 {
-		t.Fatal("ring eviction did not consolidate")
-	}
-	// The oldest surviving entry (t=2ms, keys 1..3) must have absorbed
-	// the evicted bases.
+	// The oldest surviving entry (t=2ms) holds every key written
+	// before it, including those of the dropped entries.
 	if at, ok := m.RestoreBefore(2500 * time.Microsecond); !ok || at != 2*time.Millisecond {
 		t.Fatalf("RestoreBefore = %v, %v", at, ok)
 	}
@@ -303,9 +178,17 @@ func TestRingRotationAndConsolidation(t *testing.T) {
 	if p.val != 3 {
 		t.Fatalf("restored snapshotter val = %d, want 3", p.val)
 	}
-	// Entries newer than the restore target are discarded.
-	if m.Checkpoints() != 1 {
-		t.Fatalf("after RestoreBefore ring holds %d entries", m.Checkpoints())
+	// Entries newer than the restore target are discarded: the restored
+	// image is the ring's only entry, as after a plain Restore.
+	if at, _ := m.CheckpointTime(); m.Checkpoints() != 1 || at != 2*time.Millisecond {
+		t.Fatalf("after RestoreBefore ring holds %d entries, newest at %v", m.Checkpoints(), at)
+	}
+	m.TakeCheckpoint()
+	clock.Advance(time.Millisecond)
+	m.TakeCheckpoint()
+	m.Restore()
+	if at, _ := m.CheckpointTime(); m.Checkpoints() != 1 || at != 6*time.Millisecond {
+		t.Fatalf("after Restore ring holds %d entries, newest at %v", m.Checkpoints(), at)
 	}
 }
 
@@ -313,13 +196,13 @@ func TestRestoreBeforeFallsBackToOldest(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
 	m.SetRing(2)
-	f := newDeltaSub("d", m.Gen)
+	f := newMapSub("d")
 	m.Register(f)
 	clock.Advance(time.Millisecond)
-	f.set(1, 1)
+	f.vals[1] = 1
 	m.TakeCheckpoint()
 	clock.Advance(time.Millisecond)
-	f.set(1, 2)
+	f.vals[1] = 2
 	m.TakeCheckpoint()
 	// Taint predates every checkpoint: the oldest is the best rewind.
 	if at, ok := m.RestoreBefore(0); !ok || at != time.Millisecond {
@@ -330,97 +213,54 @@ func TestRestoreBeforeFallsBackToOldest(t *testing.T) {
 	}
 }
 
-func TestChainThresholdConsolidates(t *testing.T) {
+// TestLargeRingReachesOldest: a ring of 12 keeps 12 full images, and a
+// taint older than all of them rewinds to the oldest.
+func TestLargeRingReachesOldest(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
-	m.SetRing(100)
-	f := newDeltaSub("d", m.Gen)
+	m.SetRing(12)
+	f := newMapSub("d")
 	m.Register(f)
-	const n = DefaultMaxChain + 4
-	for i := 0; i < n; i++ {
-		f.set(i, i)
-		m.TakeCheckpoint()
+	for i := 1; i <= 14; i++ {
 		clock.Advance(time.Millisecond)
+		f.vals[i] = i
+		m.TakeCheckpoint()
 	}
-	// Ring is bounded by DefaultMaxChain+1, not the large ring setting.
-	if m.Checkpoints() != DefaultMaxChain+1 {
-		t.Fatalf("ring holds %d entries, want %d", m.Checkpoints(), DefaultMaxChain+1)
+	if m.Checkpoints() != 12 {
+		t.Fatalf("ring holds %d entries, want 12", m.Checkpoints())
 	}
-	m.Restore()
-	if len(f.vals) != n {
-		t.Fatalf("restored vals = %v, want %d", f.vals, n)
+	// The entries at 1ms and 2ms were dropped; the oldest left is 3ms.
+	if at, ok := m.RestoreBefore(0); !ok || at != 3*time.Millisecond {
+		t.Fatalf("RestoreBefore(0) = %v, %v, want 3ms", at, ok)
 	}
-	for i := 0; i < n; i++ {
-		if f.vals[i] != i {
-			t.Fatalf("restored vals[%d] = %d, want %d", i, f.vals[i], i)
-		}
-	}
-}
-
-// TestFullIncrementalEquivalence runs the same mutation script under
-// full-copy and incremental capture and demands identical restores, for
-// a DeltaSnapshotter and a plain Snapshotter registered side by side.
-func TestFullIncrementalEquivalence(t *testing.T) {
-	run := func(incremental bool) (map[int]int, int) {
-		clock := simclock.New(0)
-		m := NewManager(clock, nil, time.Millisecond)
-		m.SetIncremental(incremental)
-		m.SetRing(3)
-		f := newDeltaSub("d", m.Gen)
-		m.Register(f)
-		p := &fakeSub{name: "p"}
-		m.Register(p)
-		for i := 0; i < 10; i++ {
-			f.set(i%4, i*100)
-			p.val = i
-			m.TakeCheckpoint()
-			p.val = -i // a post-checkpoint write only a restore undoes
-			clock.Advance(time.Millisecond)
-			if i == 6 {
-				m.Restore()
-				if p.val != 6 {
-					t.Fatalf("incremental=%v: restore gave snapshotter val %d, want 6", incremental, p.val)
-				}
-			}
-		}
-		m.RestoreBefore(8500 * time.Microsecond)
-		return f.vals, p.val
-	}
-	full, fullP := run(false)
-	incr, incrP := run(true)
-	if len(full) != len(incr) {
-		t.Fatalf("full=%v incremental=%v", full, incr)
-	}
-	for k, v := range full {
-		if incr[k] != v {
-			t.Fatalf("key %d: full=%d incremental=%d", k, v, incr[k])
-		}
-	}
-	if fullP != 8 || incrP != 8 {
-		t.Fatalf("snapshotter restored to full=%d incremental=%d, want 8", fullP, incrP)
+	if want := map[int]int{1: 1, 2: 2, 3: 3}; !maps.Equal(f.vals, want) {
+		t.Fatalf("restored vals = %v, want %v", f.vals, want)
 	}
 }
 
 // TestLateRegistrationFallsBackToFull covers a subsystem registered
-// after checkpoints already exist: the next capture must be full.
+// after checkpoints already exist: restoring a checkpoint that predates
+// it leaves it alone, and the next capture includes it.
 func TestLateRegistrationFallsBackToFull(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
-	a := newDeltaSub("a", m.Gen)
+	a := newMapSub("a")
 	m.Register(a)
-	a.set(1, 1)
+	a.vals[1] = 1
 	m.TakeCheckpoint()
 
-	b := newDeltaSub("b", m.Gen)
+	b := newMapSub("b")
 	m.Register(b)
-	b.set(7, 70)
+	b.vals[7] = 70
+	a.vals[1] = 5
+	m.Restore()
+	if a.vals[1] != 1 || b.vals[7] != 70 {
+		t.Fatalf("restore before b's first capture gave a=%v b=%v", a.vals, b.vals)
+	}
 	clock.Advance(time.Millisecond)
 	m.TakeCheckpoint()
-	if a.deltas != 0 {
-		t.Fatalf("post-registration capture used deltas (%d)", a.deltas)
-	}
-	a.set(1, 9)
-	b.set(7, 99)
+	a.vals[1] = 9
+	b.vals[7] = 99
 	m.Restore()
 	if a.vals[1] != 1 || b.vals[7] != 70 {
 		t.Fatalf("restored a=%v b=%v", a.vals, b.vals)

@@ -16,10 +16,10 @@ import (
 // domain-scoped recovery, which is exactly what lets non-offender
 // transactions survive.
 //
-// A scoped restore does not keep separate per-domain snapshot chains.
-// It consolidates the existing ring to its newest full image and asks
-// each DomainScoper subsystem to revert only the offender's
-// owner-stamped state to that image, leaving everything else live. The
+// A scoped restore does not keep separate per-domain snapshots. It
+// keeps the ring's newest image and asks each DomainScoper subsystem to
+// revert only the offender's owner-stamped state to that image,
+// leaving everything else live. The
 // kernel widens to a whole-kernel restore when cross-domain writes are
 // detected (see Manager.DomainConflicts and the kernel's lock
 // entanglement check).
@@ -68,8 +68,8 @@ type DomainScoper interface {
 	// human-readable, for the recovery-widened trace event.
 	CrashOwnerConflicts(sinceGen uint64, owner string) []string
 	// CrashRestoreDomain reverts every item stamped with owner and
-	// modified after sinceGen back to its content in snap (a full
-	// consolidated snapshot at generation sinceGen); items the owner
+	// modified after sinceGen back to its content in snap (the full
+	// image captured at generation sinceGen); items the owner
 	// created after the checkpoint are removed. Returns the number of
 	// state bytes reverted.
 	CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64
@@ -120,31 +120,23 @@ func (m *Manager) DomainConflicts(owner string) []string {
 	return out
 }
 
-// RestoreDomain consolidates the ring to its newest full image and
-// reverts only owner's post-checkpoint state to it, via each
-// DomainScoper subsystem. Subsystems without domain scoping are left
-// untouched — their live state survives, which is the point. Returns
-// the checkpoint's virtual time and the bytes reverted. The entry
-// remains in the ring, so a later whole-kernel restore (or another
-// scoped one) replays the same image.
+// RestoreDomain keeps only the ring's newest image and reverts only
+// owner's post-checkpoint state to it, via each DomainScoper subsystem.
+// Subsystems without domain scoping are left untouched — their live
+// state survives, which is the point. Returns the checkpoint's virtual
+// time and the bytes reverted. The entry remains in the ring, so a
+// later whole-kernel restore (or another scoped one) replays the same
+// image.
 func (m *Manager) RestoreDomain(owner string) (time.Duration, int64, bool) {
 	if len(m.entries) == 0 {
 		return 0, 0, false
 	}
-	for len(m.entries) > 1 {
-		m.foldOldest()
-	}
-	cp := m.entries[0]
-	if cp.delta {
-		panic("crash: domain restore target is an unconsolidated delta")
-	}
+	cp := m.entries[len(m.entries)-1]
+	m.entries = []*checkpoint{cp}
 	var bytes int64
-	for i, s := range m.subs {
-		if i >= len(cp.snap) {
-			continue
-		}
-		if d, ok := s.(DomainScoper); ok {
-			bytes += d.CrashRestoreDomain(owner, cp.snap[i], cp.gen)
+	for i, snap := range cp.snap {
+		if d, ok := m.subs[i].(DomainScoper); ok {
+			bytes += d.CrashRestoreDomain(owner, snap, cp.gen)
 		}
 	}
 	return cp.at, bytes, true

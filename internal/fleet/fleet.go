@@ -235,8 +235,9 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mix is the splitmix64 finalizer over two seeds — the campaign's
-// sub-seed derivation, reused so instance streams are independent.
+// mix is the splitmix64 finalizer over two seeds, deriving independent
+// per-instance streams (redteam's mix is the same function; campaign's
+// also multiplies and offsets b, so its streams differ).
 func mix(a, b int64) int64 {
 	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -646,7 +647,9 @@ func (in *instance) checkpoint(stage string) {
 // checkpoint ring. The tenant registry survives in the fleet layer —
 // standing and billing carry over, Reattach splices the live tenant
 // accounts into the restored grafts, and EpochReset re-baselines the
-// ledger deltas against the replacement's fresh supervisor.
+// ledger deltas against the replacement's fresh supervisor. The
+// replacement's first checkpoint comes only after Reattach, so a
+// recovery rewinds charges on the tenants' own accounts.
 func (in *instance) replace(round int) {
 	in.k.Shutdown()
 	in.boot()
@@ -655,6 +658,7 @@ func (in *instance) replace(round int) {
 		return
 	}
 	in.res.Reattached += in.treg.Reattach(in.k.Grafts)
+	in.checkpoint(fmt.Sprintf("round %d replacement", round))
 	in.treg.EpochReset()
 	in.res.Replacements++
 	if in.k.Faults != nil {

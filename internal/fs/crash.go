@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"time"
@@ -45,33 +46,11 @@ type fsSnap struct {
 	stats   Stats
 }
 
-func copyDirty(m map[int64][]byte) map[int64][]byte {
-	out := make(map[int64][]byte, len(m))
-	for b, d := range m {
-		out[b] = append([]byte(nil), d...)
-	}
-	return out
-}
-
-// fsDelta is the incremental capture: files created or written since a
-// generation (with only their freshly dirtied blocks), plus the small
-// volatile scalars — directory set, descriptor table, counters — which
-// mutate on nearly every operation and are cheaper to copy than to
-// track per-field.
-type fsDelta struct {
-	files   map[string]*fileSnap
-	dirs    map[string]bool
-	fds     map[int]*ofSnap
-	nextFD  int
-	nextLBA int64
-	stats   Stats
-}
-
 // CrashName implements crash.Snapshotter.
 func (fs *FS) CrashName() string { return "fs" }
 
-// snapFDs deep-copies the descriptor table (shared by full and delta
-// captures; the table is bounded by open descriptors, not file data).
+// snapFDs copies the descriptor table (bounded by open descriptors,
+// not file data).
 func (fs *FS) snapFDs() map[int]*ofSnap {
 	fds := make(map[int]*ofSnap, len(fs.fdTable))
 	for fd, of := range fs.fdTable {
@@ -101,7 +80,9 @@ func (fs *FS) snapDirs() map[string]bool {
 	return dirs
 }
 
-// CrashSnapshot implements crash.Snapshotter.
+// CrashSnapshot implements crash.Snapshotter. Each file's block map
+// is cloned but its blocks are shared: WriteAt replaces a stored block
+// instead of editing it, so a captured block never changes.
 func (fs *FS) CrashSnapshot() any {
 	s := &fsSnap{
 		files:   make(map[string]*fileSnap, len(fs.files)),
@@ -112,90 +93,22 @@ func (fs *FS) CrashSnapshot() any {
 		stats:   fs.stats,
 	}
 	for n, f := range fs.files {
-		s.files[n] = &fileSnap{file: f, dirty: copyDirty(f.dirty)}
+		s.files[n] = &fileSnap{file: f, dirty: maps.Clone(f.dirty)}
 	}
 	return s
 }
 
-// CrashDelta implements crash.DeltaSnapshotter: only blocks written
-// (and files created) in generations after sinceGen are copied, so the
-// capture costs O(state changed) rather than O(file data).
-func (fs *FS) CrashDelta(sinceGen uint64) any {
-	d := &fsDelta{
-		files:   make(map[string]*fileSnap),
-		dirs:    fs.snapDirs(),
-		fds:     fs.snapFDs(),
-		nextFD:  fs.nextFD,
-		nextLBA: fs.nextLBA,
-		stats:   fs.stats,
-	}
-	for n, f := range fs.files {
-		if f.genCreated > sinceGen {
-			// New file: its whole dirty set rides the delta.
-			d.files[n] = &fileSnap{file: f, dirty: copyDirty(f.dirty)}
-			continue
-		}
-		if f.maxDirtyGen <= sinceGen {
-			continue
-		}
-		fsn := &fileSnap{file: f, dirty: make(map[int64][]byte)}
-		for b, g := range f.dirtyGen {
-			if g <= sinceGen {
-				continue
-			}
-			if blk, ok := f.dirty[b]; ok {
-				fsn.dirty[b] = append([]byte(nil), blk...)
-			}
-		}
-		d.files[n] = fsn
-	}
-	return d
-}
-
-// CrashMerge implements crash.DeltaSnapshotter. The base is mutated in
-// place and returned, so folding costs O(delta): the delta's blocks
-// are grafted onto the base's per-file maps, and the wholesale-copied
-// scalars simply replace the base's.
-func (fs *FS) CrashMerge(base, delta any) any {
-	d := delta.(*fsDelta)
-	if base == nil {
-		s := &fsSnap{files: d.files, dirs: d.dirs, fds: d.fds, nextFD: d.nextFD, nextLBA: d.nextLBA, stats: d.stats}
-		return s
-	}
-	s := base.(*fsSnap)
-	for n, fsn := range d.files {
-		if bs, ok := s.files[n]; ok && bs.file == fsn.file {
-			for b, blk := range fsn.dirty {
-				bs.dirty[b] = blk
-			}
-		} else {
-			s.files[n] = fsn
-		}
-	}
-	s.dirs = d.dirs
-	s.fds = d.fds
-	s.nextFD = d.nextFD
-	s.nextLBA = d.nextLBA
-	s.stats = d.stats
-	return s
-}
-
-// SnapshotBytes sizes a capture — a CrashSnapshot or CrashDelta result —
-// by the block payload it carries, the dominant term of a file-system
-// checkpoint. The checkpoint-cost sweep and benchmark use it to show
-// that incremental captures carry O(dirty) bytes.
+// SnapshotBytes sizes a CrashSnapshot result by the block payload its
+// image holds, the dominant term of a file-system checkpoint. The
+// blocks are shared with live state, not copied; the recovery sweep
+// reports the figure as the payload a whole-kernel restore rewinds.
 func SnapshotBytes(snap any) int64 {
-	var files map[string]*fileSnap
-	switch s := snap.(type) {
-	case *fsSnap:
-		files = s.files
-	case *fsDelta:
-		files = s.files
-	default:
+	s, ok := snap.(*fsSnap)
+	if !ok {
 		return 0
 	}
 	var n int64
-	for _, f := range files {
+	for _, f := range s.files {
 		for _, blk := range f.dirty {
 			n += int64(len(blk))
 		}
@@ -214,14 +127,11 @@ func (fs *FS) CrashRestore(snap any) {
 	}
 	fs.files = make(map[string]*File, len(s.files))
 	for n, fsn := range s.files {
-		fsn.file.dirty = copyDirty(fsn.dirty)
-		// Restored blocks match the consolidated checkpoint image
-		// exactly, so their dirty stamps rewind to zero: the next
-		// incremental capture copies only post-restore writes. Stale
-		// stamps for blocks written after the checkpoint die here too.
+		fsn.file.dirty = maps.Clone(fsn.dirty)
+		// Restored blocks match the checkpoint image exactly, so their
+		// stamps die here: every domain was reverted at once.
 		fsn.file.dirtyGen = nil
 		fsn.file.dirtyOwner = nil
-		fsn.file.maxDirtyGen = 0
 		fs.files[n] = fsn.file
 	}
 	// A whole-kernel restore rewinds every domain at once, so recorded
@@ -283,7 +193,7 @@ func (fs *FS) CrashExport() ([]byte, error) {
 		f := fs.files[n]
 		ex.Files = append(ex.Files, fileExport{
 			Name: f.Name, Size: f.Size, Owner: int64(f.Owner), Public: f.Public,
-			Dirty: copyDirty(f.dirty),
+			Dirty: f.dirty,
 		})
 	}
 	for d := range fs.dirs {
@@ -314,7 +224,7 @@ func (fs *FS) CrashImport(data []byte) error {
 	}
 	for _, fe := range ex.Files {
 		f := fs.Create(fe.Name, fe.Size, graft.UID(fe.Owner), fe.Public)
-		f.dirty = copyDirty(fe.Dirty)
+		maps.Copy(f.dirty, fe.Dirty)
 	}
 	return nil
 }
@@ -379,8 +289,8 @@ func (fs *FS) CrashOwnerConflicts(sinceGen uint64, owner string) []string {
 }
 
 // CrashRestoreDomain implements crash.DomainScoper: it reverts only the
-// blocks owner dirtied after sinceGen back to their content in snap (a
-// full consolidated image at that generation), and removes files owner
+// blocks owner dirtied after sinceGen back to their content in snap (the
+// full image captured at that generation), and removes files owner
 // created after the checkpoint. Everything else — other owners' writes,
 // the shared descriptor table, counters, the untouched cache entries —
 // stays live.
@@ -427,7 +337,7 @@ func (fs *FS) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 
 		for _, b := range blocks {
 			if fsn != nil {
 				if blk, ok := fsn.dirty[b]; ok {
-					f.dirty[b] = append([]byte(nil), blk...)
+					f.dirty[b] = blk
 				} else {
 					delete(f.dirty, b)
 				}

@@ -126,14 +126,13 @@ type File struct {
 	fs     *FS
 	dirty  map[int64][]byte // overwritten blocks (block number -> data)
 
-	// Checkpoint dirty tracking: the crash-manager generation at which
-	// the file was created and each dirty block last written, so an
-	// incremental checkpoint copies only blocks touched since the last
-	// capture. Zero stamps (no crash manager, or state just restored)
-	// are never newer than a capture.
-	genCreated  uint64
-	dirtyGen    map[int64]uint64
-	maxDirtyGen uint64
+	// Rollback-domain generation stamps: the crash-manager generation
+	// at which the file was created and each dirty block last written,
+	// so a domain-scoped restore reverts only what changed after its
+	// checkpoint. Zero stamps (no crash manager, or state just
+	// restored) are never newer than a capture.
+	genCreated uint64
+	dirtyGen   map[int64]uint64
 
 	// Rollback-domain owner stamps: the domain that created the file and
 	// the domain whose write last dirtied each block ("" is the shared
@@ -574,6 +573,9 @@ func (of *OpenFile) WriteAt(t *sched.Thread, data []byte, off int64) (int, error
 			of.fs.stats.WriteErrors++
 			return int(written), err
 		}
+		// A stored block is never written in place: checkpoint images
+		// and the buffer cache share the slice, so a write stores a
+		// fresh copy and leaves the old one to whoever still holds it.
 		blk := append([]byte(nil), of.file.blockContent(b)...)
 		copy(blk[blockOff:], data[written:written+chunk])
 		of.file.dirty[b] = blk
@@ -594,9 +596,6 @@ func (of *OpenFile) WriteAt(t *sched.Thread, data []byte, off int64) (int, error
 			}
 			of.file.dirtyOwner[b] = owner
 			of.file.dirtyGen[b] = g
-			if g > of.file.maxDirtyGen {
-				of.file.maxDirtyGen = g
-			}
 		}
 		of.fs.cache.put(of.file.start+b, blk, false)
 		written += chunk

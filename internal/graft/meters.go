@@ -26,9 +26,7 @@ func NewMeters(r *Registry) *Meters { return &Meters{reg: r} }
 func (m *Meters) CrashName() string { return "graft-meters" }
 
 // CrashSnapshot implements crash.Snapshotter: a deep copy of every
-// install-bound account's balances. Always a full capture — the set is
-// small and balances churn every round, so delta tracking would buy
-// nothing.
+// install-bound account's balances.
 func (m *Meters) CrashSnapshot() any {
 	snaps := make(map[*resource.Account]*resource.AccountSnap, len(m.reg.meterAccounts))
 	for a := range m.reg.meterAccounts {

@@ -114,9 +114,9 @@ type ChaosConfig struct {
 	RedTeam bool
 
 	// tune, when set, adjusts the kernel right after kernel.New. The
-	// differential tests use it to select a reference path — full-copy
-	// checkpoints, the interpreting VM engine — whose trace dumps must
-	// match the default's byte for byte.
+	// differential tests use it to select a reference path — the
+	// interpreting VM engine — whose trace dumps must match the
+	// default's byte for byte.
 	tune func(*kernel.Kernel)
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"vino/internal/crash"
 	"vino/internal/fault"
 	vfs "vino/internal/fs"
 	"vino/internal/graft"
@@ -12,7 +11,6 @@ import (
 	"vino/internal/lock"
 	"vino/internal/netstk"
 	"vino/internal/resource"
-	"vino/internal/sched"
 	"vino/internal/vmm"
 )
 
@@ -110,12 +108,8 @@ func (c *chaosRun) runToFatal() (done bool, err error) {
 	if runErr == nil {
 		return false, nil
 	}
-	var cp *crash.Panic
-	switch {
-	case errors.As(runErr, &cp):
-	case errors.Is(runErr, sched.ErrDeadlock):
-		cp = &crash.Panic{Class: crash.Stall, Site: crash.SiteDispatch, Reason: "event loop stalled"}
-	default:
+	cp, ok := kernel.ContainedPanic(runErr)
+	if !ok {
 		return false, runErr
 	}
 	c.report.FatalPanic = fmt.Sprintf("%s@%s", cp.Class, cp.Site)

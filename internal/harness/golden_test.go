@@ -86,17 +86,16 @@ func TestGoldenChaosDump(t *testing.T) {
 }
 
 // TestGoldenCrashDump pins the crash phase's determinism artifact and
-// proves the default engines are invisible in it: runs with full-copy
-// checkpoint captures (the pre-delta behaviour) and with every graft on
-// the interpreting VM must reproduce the golden byte for byte — only
-// host cost may differ between the modes, never a trace or a summary.
+// proves the translating engine is invisible in it: a run with every
+// graft on the interpreting VM must reproduce the golden byte for byte
+// — only host cost may differ between the engines, never a trace or a
+// summary.
 func TestGoldenCrashDump(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tune func(*kernel.Kernel)
 	}{
-		{"incremental", nil},
-		{"full-copy", func(k *kernel.Kernel) { k.Crash.SetIncremental(false) }},
+		{"translated", nil},
 		{"interpreted", func(k *kernel.Kernel) { k.Grafts.NoTranslate = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

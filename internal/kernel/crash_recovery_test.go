@@ -263,3 +263,26 @@ func TestGuardLedgerSurvivesRecovery(t *testing.T) {
 		t.Error("quarantined dispatch did not short-circuit")
 	}
 }
+
+// TestRestoredLogKeepsCapturedLines: an image keeps the live log's
+// prefix instead of copying it, so a line logged after restoring an
+// older image must not reach a newer one.
+func TestRestoredLogKeepsCapturedLines(t *testing.T) {
+	k := New(Config{})
+	// Leave spare capacity behind the prefix, so a capture that kept
+	// it would share the array a later append writes into.
+	for cap(k.log)-len(k.log) < 2 {
+		k.Logf("fill %d", len(k.log))
+	}
+	s1 := k.CrashSnapshot()
+	k.Logf("two")
+	k.Logf("lines")
+	s2 := k.CrashSnapshot()
+	want := k.Log()
+	k.CrashRestore(s1)
+	k.Logf("one line")
+	k.CrashRestore(s2)
+	if got := k.Log(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("log after restoring s2 = %q, want %q", got, want)
+	}
+}

@@ -136,7 +136,6 @@ type Kernel struct {
 	log          []string
 	processes    map[string]*Process
 	nextPID      int
-	capLogLen    map[uint64]int // checkpoint generation -> log length at capture
 	delegation   *delegationState
 	hoardLock    *lock.Lock
 	recoverScope string
@@ -255,23 +254,14 @@ type kernelSnap struct {
 // CrashName implements crash.Snapshotter.
 func (k *Kernel) CrashName() string { return "kernel" }
 
-// noteLogLen records the log length at the current checkpoint
-// generation, so a later CrashDelta can ship only the appended tail.
-func (k *Kernel) noteLogLen() {
-	if k.Crash == nil {
-		return
-	}
-	if k.capLogLen == nil {
-		k.capLogLen = make(map[uint64]int)
-	}
-	k.capLogLen[k.Crash.Gen()] = len(k.log)
-}
-
-// CrashSnapshot implements crash.Snapshotter.
+// CrashSnapshot implements crash.Snapshotter. The log only ever
+// grows, so the image keeps the live prefix instead of copying it. A
+// live append writes past every captured length, where no image reads;
+// the capacity cap makes the first append after a restore move to a
+// fresh array instead of overwriting a line a newer image still holds.
 func (k *Kernel) CrashSnapshot() any {
-	k.noteLogLen()
 	s := &kernelSnap{
-		log:      append([]string(nil), k.log...),
+		log:      k.log[:len(k.log):len(k.log)],
 		procs:    make(map[string]*Process, len(k.processes)),
 		accounts: make(map[string]*resource.AccountSnap, len(k.processes)),
 		nextPID:  k.nextPID,
@@ -283,72 +273,10 @@ func (k *Kernel) CrashSnapshot() any {
 	return s
 }
 
-// kernelDelta is the incremental capture: the log lines appended since
-// the predecessor checkpoint plus the (small) process table. The log
-// is the kernel's only unbounded structure; the table is copied whole.
-type kernelDelta struct {
-	fromLen  int // log length at the predecessor capture
-	logTail  []string
-	procs    map[string]*Process
-	accounts map[string]*resource.AccountSnap
-	nextPID  int
-}
-
-// CrashDelta implements crash.DeltaSnapshotter.
-func (k *Kernel) CrashDelta(sinceGen uint64) any {
-	from, ok := k.capLogLen[sinceGen]
-	if !ok || from > len(k.log) {
-		// No record of the predecessor capture (or an impossible one):
-		// fall back to a full image, which CrashMerge replaces with.
-		return k.CrashSnapshot()
-	}
-	// Deltas are only ever asked against the newest entry's generation,
-	// so older memos are dead; prune them to keep the map bounded.
-	for g := range k.capLogLen {
-		if g < sinceGen {
-			delete(k.capLogLen, g)
-		}
-	}
-	k.noteLogLen()
-	d := &kernelDelta{
-		fromLen:  from,
-		logTail:  append([]string(nil), k.log[from:]...),
-		procs:    make(map[string]*Process, len(k.processes)),
-		accounts: make(map[string]*resource.AccountSnap, len(k.processes)),
-		nextPID:  k.nextPID,
-	}
-	for n, p := range k.processes {
-		d.procs[n] = p
-		d.accounts[n] = p.Account.Snapshot()
-	}
-	return d
-}
-
-// CrashMerge implements crash.DeltaSnapshotter.
-func (k *Kernel) CrashMerge(base, delta any) any {
-	if full, ok := delta.(*kernelSnap); ok {
-		return full
-	}
-	d := delta.(*kernelDelta)
-	if base == nil {
-		base = &kernelSnap{}
-	}
-	s := base.(*kernelSnap)
-	if d.fromLen <= len(s.log) {
-		s.log = append(s.log[:d.fromLen], d.logTail...)
-	} else {
-		s.log = append(s.log, d.logTail...)
-	}
-	s.procs = d.procs
-	s.accounts = d.accounts
-	s.nextPID = d.nextPID
-	return s
-}
-
 // CrashRestore implements crash.Snapshotter.
 func (k *Kernel) CrashRestore(snap any) {
 	s := snap.(*kernelSnap)
-	k.log = append([]string(nil), s.log...)
+	k.log = s.log
 	k.nextPID = s.nextPID
 	k.processes = make(map[string]*Process, len(s.procs))
 	for n, p := range s.procs {
@@ -386,10 +314,12 @@ func (k *Kernel) CrashImport(data []byte) error {
 }
 
 // RestoreFromDisk imports the newest persisted checkpoint (see
-// Config.CheckpointDir) into every exporting subsystem, rewinds the
-// clock to its virtual time, and seeds the in-memory ring with a fresh
-// capture of the imported state. Meant for a freshly built kernel: the
-// disk image stands in for the machine that crashed.
+// Config.CheckpointDir) into every exporting subsystem and rewinds the
+// clock to its virtual time. Meant for a freshly built kernel: the disk
+// image stands in for the machine that crashed. It takes no checkpoint:
+// the caller takes one once the state is whole (a fleet instance first
+// rebinds its tenants' live accounts), so the in-memory ring never
+// holds an image the caller has yet to finish.
 func (k *Kernel) RestoreFromDisk() (time.Duration, error) {
 	if k.Crash == nil {
 		return 0, errors.New("kernel: checkpointing not configured")
@@ -399,7 +329,6 @@ func (k *Kernel) RestoreFromDisk() (time.Duration, error) {
 		return 0, err
 	}
 	k.Clock.Reset(at)
-	k.Crash.TakeCheckpoint()
 	return at, nil
 }
 
@@ -437,24 +366,29 @@ func (k *Kernel) RunRecovered() (recovered int, err error) {
 		if err == nil {
 			return recovered, nil
 		}
-		var cp *crash.Panic
-		switch {
-		case errors.As(err, &cp):
-			// A planted or escaped kernel panic, already classified.
-		case errors.Is(err, sched.ErrDeadlock):
-			// The event loop stalled: every thread blocked with no
-			// pending event. Contained as a panic of class stall.
-			cp = &crash.Panic{Class: crash.Stall, Site: crash.SiteDispatch, Reason: "event loop stalled"}
-		default:
-			// A genuine bug in the simulator; never mask those.
-			return recovered, err
-		}
-		if k.Crash == nil || !k.Crash.HasCheckpoint() {
+		cp, ok := ContainedPanic(err)
+		if !ok || k.Crash == nil || !k.Crash.HasCheckpoint() {
 			return recovered, err
 		}
 		k.recoverFromPanic(cp)
 		recovered++
 	}
+}
+
+// ContainedPanic decides which scheduler-run errors are kernel panics
+// the kernel contains, and returns each as a classified panic: a
+// planted or escaped *crash.Panic as itself, and an event-loop stall
+// (every thread blocked with no pending event) as a Stall at the
+// dispatcher. Any other error is a genuine simulator bug, never masked.
+func ContainedPanic(err error) (*crash.Panic, bool) {
+	var cp *crash.Panic
+	switch {
+	case errors.As(err, &cp):
+		return cp, true
+	case errors.Is(err, sched.ErrDeadlock):
+		return &crash.Panic{Class: crash.Stall, Site: crash.SiteDispatch, Reason: "event loop stalled"}, true
+	}
+	return nil, false
 }
 
 // recoverFromPanic is the contained-panic path: quiesce, restore the

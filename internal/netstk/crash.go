@@ -10,8 +10,7 @@ import (
 // their stream positions), listeners and counters rewind exactly, so a
 // mid-accept crash cannot leak a half-accepted connection past the
 // restore. The state is small — bounded by live connections — so every
-// checkpoint takes a full copy, the crash manager's fallback for plain
-// Snapshotters.
+// checkpoint copies it whole, buffers included.
 
 type connSnap struct {
 	conn    *Conn

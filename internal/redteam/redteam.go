@@ -521,7 +521,8 @@ func (r *Result) Summary() string {
 }
 
 // mix is the splitmix64 finalizer, deriving per-case sentinel streams
-// from the master seed (same derivation as the campaign drivers).
+// from the master seed (fleet's mix is the same function; campaign's
+// also multiplies and offsets b, so its streams differ).
 func mix(a, b int64) int64 {
 	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -20,7 +20,6 @@ type Kind string
 // Event kinds emitted by the kernel's subsystems.
 const (
 	GraftInstall  Kind = "graft-install"
-	GraftReject   Kind = "graft-reject"
 	GraftCommit   Kind = "graft-commit"
 	GraftAbort    Kind = "graft-abort"
 	GraftRemove   Kind = "graft-remove"
@@ -83,22 +82,19 @@ type Buffer struct {
 	ring  []Event
 	next  int
 	total int64
-	// Enabled gates recording; disabled buffers drop events at ~zero
-	// cost so tracing can stay wired in benchmarks.
-	Enabled bool
 }
 
-// New creates a ring holding the most recent capacity events, enabled.
+// New creates a ring holding the most recent capacity events.
 func New(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Buffer{ring: make([]Event, 0, capacity), Enabled: true}
+	return &Buffer{ring: make([]Event, 0, capacity)}
 }
 
-// Emit records an event.
+// Emit records an event. A nil buffer records nothing.
 func (b *Buffer) Emit(at time.Duration, kind Kind, subject, detail string) {
-	if b == nil || !b.Enabled {
+	if b == nil {
 		return
 	}
 	b.total++

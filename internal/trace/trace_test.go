@@ -51,15 +51,11 @@ func TestDumpReportsDropped(t *testing.T) {
 	}
 }
 
+// TestNilAndDisabledSafe: a nil buffer is the disabled recorder, and
+// emitting into it is a no-op.
 func TestNilAndDisabledSafe(t *testing.T) {
 	var b *Buffer
 	b.Emit(0, GraftCommit, "p", "") // must not panic
-	b2 := New(4)
-	b2.Enabled = false
-	b2.Emit(0, GraftCommit, "p", "")
-	if b2.Total() != 0 || len(b2.Events()) != 0 {
-		t.Fatal("disabled buffer recorded")
-	}
 }
 
 // Property: after any emission sequence, Events() is chronologically

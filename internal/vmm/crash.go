@@ -37,22 +37,6 @@ type vmmSnap struct {
 	lastEvicted *Page
 }
 
-// vmmDelta is the incremental capture: spaces with stamped changes
-// (carrying only their stamped pages), the set of live space ids (so a
-// merge drops destroyed spaces), and the global scalars. The LRU queue
-// order is copied wholesale in every delta — it reorders on nearly
-// every access, but it is bounded by physical frames, not by the page
-// population, and a copy is pointer-sized per entry.
-type vmmDelta struct {
-	spaces      map[int]*vasSnap
-	live        map[int]bool
-	queue       []*Page
-	usedFrames  int
-	nextVAS     int
-	stats       Stats
-	lastEvicted *Page
-}
-
 // CrashName implements crash.Snapshotter.
 func (v *VMM) CrashName() string { return "vmm" }
 
@@ -93,81 +77,6 @@ func (v *VMM) CrashSnapshot() any {
 	return s
 }
 
-// CrashDelta implements crash.DeltaSnapshotter: only spaces and pages
-// stamped after sinceGen are captured, so the cost tracks what the VM
-// system actually did since the last checkpoint.
-func (v *VMM) CrashDelta(sinceGen uint64) any {
-	d := &vmmDelta{
-		spaces:      make(map[int]*vasSnap),
-		live:        make(map[int]bool, len(v.spaces)),
-		queue:       v.snapQueue(),
-		usedFrames:  v.usedFrames,
-		nextVAS:     v.nextVAS,
-		stats:       v.stats,
-		lastEvicted: v.lastEvicted,
-	}
-	for id, vas := range v.spaces {
-		d.live[id] = true
-		if vas.genCreated <= sinceGen && vas.modGen <= sinceGen {
-			continue
-		}
-		vs := &vasSnap{
-			vas:       vas,
-			pages:     make(map[int64]*Page),
-			flags:     make(map[int64]pageFlags),
-			mappings:  append([]mapping(nil), vas.mappings...),
-			faults:    vas.Faults,
-			evictions: vas.Evictions,
-		}
-		fresh := vas.genCreated > sinceGen
-		for vpn, p := range vas.pages {
-			if !fresh && p.modGen <= sinceGen {
-				continue
-			}
-			vs.pages[vpn] = p
-			vs.flags[vpn] = pageFlags{p.resident, p.wired, p.referenced, p.dirty}
-		}
-		d.spaces[id] = vs
-	}
-	return d
-}
-
-// CrashMerge implements crash.DeltaSnapshotter. The base is mutated in
-// place and returned: destroyed spaces drop out, changed pages graft
-// onto their space's maps, and the wholesale-copied queue and scalars
-// replace the base's.
-func (v *VMM) CrashMerge(base, delta any) any {
-	d := delta.(*vmmDelta)
-	if base == nil {
-		base = &vmmSnap{spaces: make(map[int]*vasSnap, len(d.spaces))}
-	}
-	s := base.(*vmmSnap)
-	for id := range s.spaces {
-		if !d.live[id] {
-			delete(s.spaces, id)
-		}
-	}
-	for id, vs := range d.spaces {
-		bs, ok := s.spaces[id]
-		if !ok || bs.vas != vs.vas {
-			s.spaces[id] = vs
-			continue
-		}
-		for vpn, p := range vs.pages {
-			bs.pages[vpn] = p
-			bs.flags[vpn] = vs.flags[vpn]
-		}
-		bs.mappings = vs.mappings
-		bs.faults, bs.evictions = vs.faults, vs.evictions
-	}
-	s.queue = d.queue
-	s.usedFrames = d.usedFrames
-	s.nextVAS = d.nextVAS
-	s.stats = d.stats
-	s.lastEvicted = d.lastEvicted
-	return s
-}
-
 // CrashRestore implements crash.Snapshotter.
 func (v *VMM) CrashRestore(snap any) {
 	s := snap.(*vmmSnap)
@@ -179,16 +88,12 @@ func (v *VMM) CrashRestore(snap any) {
 			f := vs.flags[vpn]
 			p.resident, p.wired, p.referenced, p.dirty = f.resident, f.wired, f.referenced, f.dirty
 			p.elem = nil
-			// Restored flags match the consolidated image: rewind the
-			// dirty stamp so the next delta copies only fresh changes.
-			// Owner stamps rewind too — every domain was reverted at once.
-			p.modGen = 0
+			// Owner stamps rewind: every domain was reverted at once.
 			p.owner, p.writeGen = "", 0
 			vas.pages[vpn] = p
 		}
 		vas.mappings = append([]mapping(nil), vs.mappings...)
 		vas.Faults, vas.Evictions = vs.faults, vs.evictions
-		vas.modGen = 0
 		v.spaces[id] = vas
 	}
 	v.globalQueue = list.New()
@@ -358,7 +263,6 @@ func (v *VMM) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 
 				}
 			}
 			p.resident, p.wired, p.referenced, p.dirty = f.resident, f.wired, f.referenced, f.dirty
-			p.modGen = 0
 			p.owner, p.writeGen = "", 0
 			bytes += PageSize
 		}

@@ -58,9 +58,6 @@ func (vas *VAS) Map(startVPN, count int64, pager Pager) error {
 		}
 	}
 	vas.mappings = append(vas.mappings, mapping{start: startVPN, count: count, pager: pager})
-	if g := vas.vmm.crashGen(); g != 0 {
-		vas.modGen = g
-	}
 	return nil
 }
 
@@ -69,9 +66,6 @@ func (vas *VAS) Map(startVPN, count int64, pager Pager) error {
 func (vas *VAS) Unmap(startVPN int64) {
 	for i, m := range vas.mappings {
 		if m.start == startVPN {
-			if g := vas.vmm.crashGen(); g != 0 {
-				vas.modGen = g
-			}
 			vas.mappings = append(vas.mappings[:i], vas.mappings[i+1:]...)
 			for vpn := m.start; vpn < m.start+m.count; vpn++ {
 				if p, ok := vas.pages[vpn]; ok && p.resident {

@@ -131,10 +131,6 @@ type Page struct {
 	dirty      bool
 	elem       *list.Element
 
-	// modGen is the crash-manager generation of the page's last flag
-	// change, so an incremental checkpoint copies only touched pages.
-	modGen uint64
-
 	// Rollback-domain owner stamp: the domain whose store last dirtied
 	// the page, and the generation of that store. Reads do not stamp —
 	// domain recovery reverts only the offender's writes.
@@ -142,23 +138,13 @@ type Page struct {
 	writeGen uint64
 }
 
-// crashGen returns the crash manager's current generation for dirty
-// stamping, or zero when checkpoints are off.
+// crashGen returns the crash manager's current generation for the
+// rollback-domain stamps, or zero when checkpoints are off.
 func (v *VMM) crashGen() uint64 {
 	if v.k != nil && v.k.Crash != nil {
 		return v.k.Crash.Gen()
 	}
 	return 0
-}
-
-// stamp marks a page (and its space) as modified in the current
-// generation. Over-stamping is harmless — a stamped-but-unchanged page
-// rides the next delta at its current, correct flags.
-func (v *VMM) stamp(p *Page) {
-	if g := v.crashGen(); g != 0 {
-		p.modGen = g
-		p.vas.modGen = g
-	}
 }
 
 // Dirty reports whether the page has been written since it was last
@@ -186,9 +172,10 @@ type VAS struct {
 	listLock   *lock.Lock
 	mappings   []mapping
 
-	// Checkpoint dirty tracking (see Page.modGen).
+	// genCreated is the crash-manager generation at which the space
+	// was created: a domain-scoped restore removes a space its
+	// offender created after the checkpoint.
 	genCreated uint64
-	modGen     uint64
 
 	// crashOwner is the rollback domain that created the space ("" for
 	// the shared base domain).
@@ -298,16 +285,13 @@ func (vas *VAS) Resident() int {
 	return n
 }
 
-// Page returns the page object for vpn, creating it on first use. The
-// page is stamped into the current checkpoint generation: every flag
-// mutation in the fault/wire paths flows through here first.
+// Page returns the page object for vpn, creating it on first use.
 func (vas *VAS) Page(vpn int64) *Page {
 	p, ok := vas.pages[vpn]
 	if !ok {
 		p = &Page{vas: vas, vpn: vpn}
 		vas.pages[vpn] = p
 	}
-	vas.vmm.stamp(p)
 	return p
 }
 
@@ -437,7 +421,6 @@ func (v *VMM) release(t *sched.Thread, p *Page) {
 	if !p.resident {
 		return
 	}
-	v.stamp(p)
 	if p.dirty {
 		if t != nil {
 			v.stats.WriteBacks++
@@ -485,7 +468,6 @@ func (v *VMM) MakeVictimNext(vas *VAS, vpn int64) {
 	if p == nil || !p.resident || p.elem == nil {
 		return
 	}
-	v.stamp(p)
 	p.referenced = false
 	v.globalQueue.MoveToBack(p.elem)
 }
@@ -505,7 +487,6 @@ func (v *VMM) globalVictim() *Page {
 			continue
 		}
 		if p.referenced {
-			v.stamp(p)
 			p.referenced = false
 			v.globalQueue.MoveToFront(e)
 			v.stats.SecondChances++
