@@ -27,16 +27,16 @@ func echoPoint(k *vino.Kernel, name string) *vino.GraftPoint {
 	})
 }
 
-// TestOptionsFeedConfig checks that each functional option lands in the
+// TestOptionsFeedConfig checks that each Config field lands in the
 // built kernel.
 func TestOptionsFeedConfig(t *testing.T) {
 	plan := vino.NewFaultPlan(9, nil, 1)
-	k := vino.New(
-		vino.WithTrace(64),
-		vino.WithSeed(9),
-		vino.WithFaultPlan(plan),
-		vino.WithTimeslice(5*time.Millisecond),
-	)
+	k := vino.New(vino.Config{
+		TraceDepth: 64,
+		Seed:       9,
+		FaultPlan:  plan,
+		Timeslice:  5 * time.Millisecond,
+	})
 	if k.Seed != 9 {
 		t.Errorf("Seed = %d, want 9", k.Seed)
 	}
@@ -56,7 +56,7 @@ func TestOptionsFeedConfig(t *testing.T) {
 
 // TestToolchainBuild covers the build modes and signer binding.
 func TestToolchainBuild(t *testing.T) {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	tc := vino.ToolchainFor(k)
 
 	plain, err := tc.Build(retSeven, vino.BuildOptions{})
@@ -182,11 +182,11 @@ func TestFaultSurfaceRoundTrip(t *testing.T) {
 // TestSMPSurface covers the multi-CPU option and the fault-plan
 // interchange helpers.
 func TestSMPSurface(t *testing.T) {
-	k := vino.New(vino.WithCPUs(4))
+	k := vino.New(vino.Config{NumCPUs: 4})
 	if got := k.NumCPUs(); got != 4 {
 		t.Fatalf("NumCPUs = %d, want 4", got)
 	}
-	if got := vino.New().NumCPUs(); got != 1 {
+	if got := vino.New(vino.Config{}).NumCPUs(); got != 1 {
 		t.Fatalf("default NumCPUs = %d, want 1", got)
 	}
 
@@ -213,14 +213,14 @@ main:
     jmp main
 `
 
-// TestGuardSurface covers the supervisor's public face: WithGuardPolicy
+// TestGuardSurface covers the supervisor's public face: Config.GuardPolicy
 // arms it, the escalation ladder runs (quarantine, base-path fallback,
 // probation, expulsion), and Guard.Report() exposes the health ledger.
 func TestGuardSurface(t *testing.T) {
 	pol := vino.DefaultGuardPolicy()
-	k := vino.New(vino.WithTrace(128), vino.WithGuardPolicy(pol))
+	k := vino.New(vino.Config{TraceDepth: 128, GuardPolicy: &pol})
 	if k.Guard == nil {
-		t.Fatal("WithGuardPolicy did not arm the supervisor")
+		t.Fatal("Config.GuardPolicy did not arm the supervisor")
 	}
 	pt := echoPoint(k, "obj.fn")
 	k.SpawnProcess("app", vino.Root, func(p *vino.Process) {

@@ -288,7 +288,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // TestPublicFacade smoke-tests the root package aliases.
 func TestPublicFacade(t *testing.T) {
-	k := vino.New(func(c *vino.Config) { c.ZeroTxnCosts = true })
+	k := vino.New(vino.Config{ZeroTxnCosts: true})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 64)
 	fsys.Create("f", vino.BlockSize, 100, true)
 	ran := false

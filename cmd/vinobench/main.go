@@ -47,17 +47,6 @@ func main() {
 	fleetTenants := flag.Int("tenants", 4, "fleet sweep: largest tenant count (sweeps powers of two up to it)")
 	flag.Parse()
 
-	smpCounts := func() []int {
-		var out []int
-		for n := 1; n <= *ncpu; n *= 2 {
-			out = append(out, n)
-		}
-		if len(out) == 0 {
-			out = []int{1}
-		}
-		return out
-	}
-
 	ran := false
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "vinobench:", err)
@@ -135,7 +124,7 @@ func main() {
 			}
 			fmt.Println(harness.FormatTimeoutSweep(pts))
 		case "smp":
-			s, err := harness.SMPTable(smpCounts(), 32)
+			s, err := harness.SMPTable(pow2(max(*ncpu, 1)), 32)
 			if err != nil {
 				fail(err)
 			}
@@ -165,11 +154,7 @@ func main() {
 				fail(fmt.Errorf("sfi gate failed: translated compartment overhead %.1f ns/access is not at most half the interpreted %.1f", ot, oi))
 			}
 		case "campaign":
-			var counts []int
-			for n := 1; n <= *workers; n *= 2 {
-				counts = append(counts, n)
-			}
-			pts, err := campaign.ThroughputSweep(1, *runs, counts)
+			pts, err := campaign.ThroughputSweep(1, *runs, pow2(*workers))
 			if err != nil {
 				fail(err)
 			}
@@ -180,17 +165,7 @@ func main() {
 				}
 			}
 		case "fleet":
-			pow2 := func(max int) []int {
-				var out []int
-				for n := 1; n <= max; n *= 2 {
-					out = append(out, n)
-				}
-				if len(out) == 0 {
-					out = []int{1}
-				}
-				return out
-			}
-			pts, err := fleet.ThroughputSweep(1, pow2(*instances), pow2(*fleetTenants))
+			pts, err := fleet.ThroughputSweep(1, pow2(max(*instances, 1)), pow2(max(*fleetTenants, 1)))
 			if err != nil {
 				fail(err)
 			}
@@ -281,4 +256,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// pow2 returns the powers of two up to limit, ascending; none when
+// limit is below one, so a sweep falls back to its own default grid.
+func pow2(limit int) []int {
+	var out []int
+	for n := 1; n <= limit; n *= 2 {
+		out = append(out, n)
+	}
+	return out
 }

@@ -86,7 +86,7 @@ func runScenarios(name string) int {
 }
 
 func newKernel() *vino.Kernel {
-	return vino.New(vino.WithTrace(1024))
+	return vino.New(vino.Config{TraceDepth: 1024})
 }
 
 // dumpTrace prints the kernel flight recorder when -trace is set.

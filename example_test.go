@@ -11,7 +11,7 @@ import (
 // replace its read-ahead policy with a graft, and survive replacing it
 // with one that misbehaves.
 func ExampleKernel() {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 256)
 	fsys.Create("data", 16*vino.BlockSize, 100, false)
 
@@ -69,7 +69,7 @@ main:
 // loader would never run and the kernel refusing what the toolchain did
 // not sign.
 func ExampleToolchain_Build_safe() {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 64)
 	fsys.Create("f", vino.BlockSize, 100, false)
 	k.SpawnProcess("app", 100, func(p *vino.Process) {

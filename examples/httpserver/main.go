@@ -55,7 +55,7 @@ main:
 `
 
 func main() {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	n := vino.NewNet(k)
 	web := n.Listen("tcp", 80)
 	buggy := n.Listen("tcp", 8080)

@@ -27,7 +27,7 @@ func main() {
 		checks = append(checks, check{rule, what, ok, note})
 	}
 
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	point := k.Grafts.RegisterPoint(&vino.GraftPoint{
 		Name:      "obj.fn",
 		Kind:      vino.Function,

@@ -49,7 +49,7 @@ done:
 `
 
 func main() {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 256)
 	if err := fsys.Mkdir("jail", vino.Root); err != nil {
 		log.Fatal(err)

@@ -82,7 +82,7 @@ const (
 )
 
 func run(useGraft bool) (hotFaults, totalFaults int64) {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	v := vino.NewVMM(k, frames)
 	k.SpawnProcess("app", 100, func(p *vino.Process) {
 		vas := v.NewVAS(p.Thread)

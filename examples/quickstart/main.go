@@ -32,7 +32,7 @@ main:
 func main() {
 	// A kernel: virtual clock, preemptible scheduler, lock manager,
 	// transaction manager, graft registry.
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 4096)
 	fsys.Create("data", 64*vino.BlockSize, 100, false)
 

@@ -52,7 +52,7 @@ func pattern() []int64 {
 }
 
 func run(useGraft bool) (stall, elapsed time.Duration, faults int64) {
-	k := vino.New()
+	k := vino.New(vino.Config{})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 8192)
 	fsys.Create("db", fileSize, 100, false)
 	blocks := pattern()

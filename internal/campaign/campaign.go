@@ -30,11 +30,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"vino/internal/fault"
 	"vino/internal/harness"
+	"vino/internal/par"
 )
 
 // Config parameterises one campaign.
@@ -66,11 +66,6 @@ type Config struct {
 	// injected kernel panics are contained and recovered. This is where
 	// most signature diversity lives.
 	Crash bool
-	// RulesPerClass sizes freshly generated plans (default 3).
-	RulesPerClass int
-	// CrashRulesPerSite sizes fresh plans' panic-rule complement when
-	// Crash is set (default 2).
-	CrashRulesPerSite int
 	// MaxCorpus caps how many novel-signature plans are distilled into
 	// minimized reproducers (default 16; 0 keeps the default, negative
 	// disables minimization entirely).
@@ -101,12 +96,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
-	}
-	if cfg.RulesPerClass <= 0 {
-		cfg.RulesPerClass = 3
-	}
-	if cfg.CrashRulesPerSite <= 0 {
-		cfg.CrashRulesPerSite = 2
 	}
 	if cfg.MaxCorpus == 0 {
 		cfg.MaxCorpus = 16
@@ -259,17 +248,14 @@ func nextGeneration(cfg Config, gen, count int, prev, parents []*fault.Plan, lin
 	return plans
 }
 
-// freshPlan derives a new-blood plan from one seed draw.
+// freshPlan derives a new-blood plan from one seed draw, exactly as
+// RunChaos derives one from its seed.
 func freshPlan(cfg Config, seed int64) *fault.Plan {
 	classes := fault.Classes()
 	if cfg.Extended {
 		classes = fault.ExtendedClasses()
 	}
-	p := fault.NewPlan(seed, classes, cfg.RulesPerClass)
-	if cfg.Crash {
-		p.Rules = append(p.Rules, fault.NewCrashRules(seed, cfg.CrashRulesPerSite)...)
-	}
-	return p
+	return harness.FreshPlan(seed, classes, cfg.Crash)
 }
 
 // runGeneration executes one generation's plans on the bounded worker
@@ -277,22 +263,7 @@ func freshPlan(cfg Config, seed int64) *fault.Plan {
 // campaign state.
 func runGeneration(cfg Config, plans []*fault.Plan) []outcome {
 	outs := make([]outcome, len(plans))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				outs[i] = runOne(cfg, plans[i])
-			}
-		}()
-	}
-	for i := range plans {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(cfg.Workers, len(plans), func(i int) { outs[i] = runOne(cfg, plans[i]) })
 	return outs
 }
 
@@ -329,33 +300,19 @@ func distillCorpus(cfg Config, novel []string, novelPlan map[string]*fault.Plan)
 	}
 	entries := make([]*Entry, n)
 	runs := make([]int, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sig := novel[i]
-				plan := novelPlan[sig]
-				ccfg := chaosConfig(cfg, plan)
-				res, err := harness.MinimizeTo(ccfg, harness.NormalizedSignature)
-				if err != nil {
-					// The baseline errored (a harness-error signature):
-					// keep the un-shrunk plan as the reproducer.
-					entries[i] = newEntry(cfg, sig, plan, 0)
-					continue
-				}
-				runs[i] = res.Runs
-				entries[i] = newEntry(cfg, sig, res.Plan, res.Removed)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(cfg.Workers, n, func(i int) {
+		sig := novel[i]
+		plan := novelPlan[sig]
+		res, err := harness.MinimizeTo(chaosConfig(cfg, plan), harness.NormalizedSignature)
+		if err != nil {
+			// The baseline errored (a harness-error signature): keep
+			// the un-shrunk plan as the reproducer.
+			entries[i] = newEntry(cfg, sig, plan, 0)
+			return
+		}
+		runs[i] = res.Runs
+		entries[i] = newEntry(cfg, sig, res.Plan, res.Removed)
+	})
 	total := 0
 	for _, r := range runs {
 		total += r
@@ -407,6 +364,8 @@ func (r *Report) Summary() string {
 }
 
 // mix hashes two seeds into one rng stream id (splitmix64 finalizer).
+// Unlike par.Mix it also multiplies and offsets b; the coverage golden
+// depends on its streams.
 func mix(a, b int64) int64 {
 	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)*0xBF58476D1CE4E5B9 + 0xD1B54A32D192ED03
 	z ^= z >> 30

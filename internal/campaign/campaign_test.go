@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -169,4 +172,34 @@ func TestEntryRoundTrip(t *testing.T) {
 	if _, err := DecodeEntry(plan.Encode()); err == nil {
 		t.Error("DecodeEntry accepted a bare plan without a signature header")
 	}
+}
+
+// FuzzDecodeEntry: arbitrary text decodes to an error or a corpus
+// entry, never a panic, and a decoded entry's Encode decodes to an
+// equal entry. The checked-in corpus seeds it.
+func FuzzDecodeEntry(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.plan"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no corpus seeds: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := DecodeEntry(s)
+		if err != nil {
+			return
+		}
+		back, err := DecodeEntry(e.Encode())
+		if err != nil {
+			t.Fatalf("re-decode: %v\n%s", err, e.Encode())
+		}
+		if !reflect.DeepEqual(back, e) {
+			t.Fatalf("round trip changed the entry:\n%+v\n%+v", e, back)
+		}
+	})
 }

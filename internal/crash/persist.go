@@ -166,9 +166,9 @@ func (m *Manager) compactDisk(newest int64) {
 
 // RestoreFromDisk imports the newest persisted checkpoint into every
 // Exporter subsystem and returns its virtual time. The in-memory ring
-// is cleared — the caller (the kernel) resets the clock to the returned
-// time and takes a fresh checkpoint of the imported state, which
-// becomes the new ring base. Subsystems without an Exporter keep their
+// is cleared: the kernel resets the clock to the returned time, and the
+// kernel's own caller takes the first checkpoint of the imported state
+// once that state is whole. Subsystems without an Exporter keep their
 // freshly initialised state, as after a reboot.
 func (m *Manager) RestoreFromDisk() (time.Duration, error) {
 	if m.persistDir == "" {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,34 @@ rule latency at=5ms window=20ms seek=6
 	if p.Rules[2].SeekFactor != 6 || p.Rules[2].Window != 20*time.Millisecond {
 		t.Fatalf("latency rule mangled: %+v", p.Rules[2])
 	}
+}
+
+// FuzzDecodePlan: arbitrary text decodes to an error or a plan, never a
+// panic, and a decoded plan's Encode decodes to an equal plan.
+func FuzzDecodePlan(f *testing.F) {
+	crashy := NewPlan(7, Classes(), 2)
+	crashy.Rules = append(crashy.Rules, NewCrashRules(7, 1)...)
+	for _, seed := range []string{
+		NewPlan(42, ExtendedClasses(), 3).Encode(),
+		crashy.Encode(),
+		"# hand-written\nvino-fault-plan v1\nseed -3\nrule latency at=5ms window=20ms seek=6 transfer=2 factor=3\nrule disk every=17 write\n",
+		"vino-fault-plan v1\nseed 1\nrule disk every=2 at=5ms",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Decode(s)
+		if err != nil {
+			return
+		}
+		back, err := Decode(p.Encode())
+		if err != nil {
+			t.Fatalf("re-decode: %v\n%s", err, p.Encode())
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed the plan:\n%+v\n%+v", p, back)
+		}
+	})
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {

@@ -22,13 +22,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"vino/internal/fault"
 	"vino/internal/guard"
 	"vino/internal/kernel"
 	"vino/internal/netstk"
+	"vino/internal/par"
 	"vino/internal/resource"
 	"vino/internal/tenant"
 )
@@ -64,21 +64,14 @@ type Config struct {
 	// subdirectory per instance). Empty uses a temporary directory
 	// removed when the run ends.
 	Dir string
-	// TenantPolicy overrides the escalation thresholds and per-tenant
-	// resource grants. The zero value uses DefaultTenantLimits and the
-	// default ladder (throttle on the first expulsion, ban on the
-	// second).
-	TenantPolicy tenant.Policy
-	// GuardPolicy overrides the per-instance graft supervisor policy.
-	// Nil uses an aggressive ladder sized to the fleet's short rounds.
-	GuardPolicy *guard.Policy
 }
 
-// DefaultTenantLimits is the resource grant each tenant account starts
-// with: enough sockets and memory for a round of well-behaved traffic,
-// and a kernel-heap budget small enough that a gobbler hits denial
-// within one invocation.
-func DefaultTenantLimits() map[resource.Kind]int64 {
+// tenantLimits is the resource grant each tenant account starts with:
+// enough sockets and memory for a round of well-behaved traffic, and a
+// kernel-heap budget small enough that a gobbler hits denial within one
+// invocation. Tenants walk the default ladder (throttle on the first
+// expulsion, ban on the second).
+func tenantLimits() map[resource.Kind]int64 {
 	return map[resource.Kind]int64{
 		resource.Sockets:    64,
 		resource.Memory:     1 << 20,
@@ -102,13 +95,10 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.TenantPolicy.Limits == nil {
-		c.TenantPolicy.Limits = DefaultTenantLimits()
-	}
 	return c
 }
 
-// fleetGuardPolicy is the default supervisor ladder for fleet rounds:
+// fleetGuardPolicy is the supervisor ladder for fleet rounds:
 // streak-driven with a near-zero backoff, so an always-aborting graft
 // walks suspect → quarantine → probation → expelled within a round or
 // two of admitted traffic.
@@ -196,22 +186,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	results := make([]*InstanceResult, cfg.Instances)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range jobs {
-				results[id] = runInstance(cfg, id, filepath.Join(dir, fmt.Sprintf("inst-%d", id)))
-			}
-		}()
-	}
-	for id := 0; id < cfg.Instances; id++ {
-		jobs <- id
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(cfg.Workers, cfg.Instances, func(id int) {
+		results[id] = runInstance(cfg, id, filepath.Join(dir, fmt.Sprintf("inst-%d", id)))
+	})
 
 	res := &Result{Cfg: cfg}
 	perTenant := int64(cfg.Arrivals * cfg.Rounds)
@@ -233,16 +210,6 @@ func Run(cfg Config) (*Result, error) {
 			fmt.Sprintf("fleet: %d arrivals generated but %d accounted", res.Arrivals, got))
 	}
 	return res, nil
-}
-
-// mix is the splitmix64 finalizer over two seeds, deriving independent
-// per-instance streams (redteam's mix is the same function; campaign's
-// also multiplies and offsets b, so its streams differ).
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 // tenantName returns tenant i's name; the abusive tenant is last.
@@ -332,12 +299,9 @@ func (in *instance) violate(format string, args ...any) {
 // of the instance (including replacement reboots) uses the same one.
 func (in *instance) kernelConfig() kernel.Config {
 	gp := fleetGuardPolicy()
-	if in.cfg.GuardPolicy != nil {
-		gp = *in.cfg.GuardPolicy
-	}
 	kcfg := kernel.Config{
 		ZeroTxnCosts:    true,
-		Seed:            mix(in.cfg.Seed, int64(in.id)),
+		Seed:            par.Mix(in.cfg.Seed, int64(in.id)),
 		GuardPolicy:     &gp,
 		CheckpointEvery: time.Hour, // explicit round-end checkpoints only
 		CheckpointRing:  4,
@@ -400,10 +364,10 @@ func runInstance(cfg Config, id int, dir string) *InstanceResult {
 		cfg: cfg,
 		id:  id,
 		dir: dir,
-		rng: rand.New(rand.NewSource(mix(cfg.Seed, int64(id)))),
+		rng: rand.New(rand.NewSource(par.Mix(cfg.Seed, int64(id)))),
 		res: &InstanceResult{ID: id},
 	}
-	in.treg = tenant.New(nil, nil, cfg.TenantPolicy)
+	in.treg = tenant.New(nil, nil, tenant.Policy{Limits: tenantLimits()})
 	nt := in.tenantCount()
 	in.seqs = make([]int64, nt)
 	in.gens = make([]int, nt)

@@ -17,7 +17,6 @@ var (
 	ErrNotFound   = errors.New("fs: no such file")
 	ErrPermission = errors.New("fs: permission denied")
 	ErrClosed     = errors.New("fs: file closed")
-	ErrQueueFull  = errors.New("fs: prefetch queue full")
 )
 
 // FS is the simulated file system: one disk, one block cache, a flat
@@ -625,8 +624,12 @@ func (fs *FS) registerCallables() {
 		if size <= 0 {
 			return 0, fmt.Errorf("fs.prefetch: bad size %d", size)
 		}
-		first := off / BlockSize
-		last := (off + size - 1) / BlockSize
+		// Clamp the extent to the file before looping: enqueuePrefetch
+		// drops blocks outside it anyway, and no virtual time is charged
+		// per block, so an unclamped loop lets the graft's arguments set
+		// the host's work where the watchdog cannot see it.
+		first := max(off/BlockSize, 0)
+		last := min((off+size-1)/BlockSize, of.file.Blocks()-1)
 		queued := int64(0)
 		for b := first; b <= last; b++ {
 			undo := func(fn func()) {

@@ -2,12 +2,15 @@ package fs
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"vino/internal/graft"
 	"vino/internal/kernel"
+	"vino/internal/sched"
 )
 
 func newTestFS(cacheBlocks int) (*kernel.Kernel, *FS) {
@@ -399,6 +402,67 @@ main:
 		}
 		if of.PrefetchQueued < 1000 {
 			t.Errorf("queued = %d, want ~1024", of.PrefetchQueued)
+		}
+	})
+}
+
+// TestPrefetchClampsToFile: fs.prefetch's host work is bounded by the
+// file, not by the graft's arguments. No virtual time is charged per
+// block, so the watchdog cannot stop an unbounded loop: a request
+// spanning 2^62 bytes, or one from a large negative offset, must return
+// at once and queue exactly what a file-sized request queues. A request
+// whose end overflows int64 queues nothing.
+func TestPrefetchClampsToFile(t *testing.T) {
+	const blocks = 16
+	k, fsys := newTestFS(64)
+	fsys.Create("db", blocks*BlockSize, 7, false)
+	pt := k.Grafts.RegisterPoint(&graft.Point{
+		Name:      "test.prefetch",
+		Kind:      graft.Function,
+		Privilege: graft.Local,
+		Default:   func(*sched.Thread, []int64) (int64, error) { return -1, nil },
+		Watchdog:  time.Second,
+	})
+	runProc(t, k, 7, func(p *kernel.Process) {
+		of, _ := fsys.Open(p.Thread, "db")
+		// r1..r3 arrive as fs.prefetch's (fd, offset, size).
+		if _, err := p.BuildAndInstall(pt.Name, `
+.name span
+.import fs.prefetch
+.func main
+main:
+    callk fs.prefetch
+    ret
+`, graft.InstallOptions{}); err != nil {
+			t.Errorf("install: %v", err)
+			return
+		}
+		prefetch := func(off, size int64) (int64, []int64) {
+			of.ResetPrefetchQueue()
+			n, err := pt.Invoke(p.Thread, int64(of.FD()), off, size)
+			if err != nil {
+				t.Errorf("prefetch(%d, %d): %v", off, size, err)
+			}
+			return n, append([]int64(nil), of.queue...)
+		}
+		wantN, want := prefetch(0, blocks*BlockSize)
+		if wantN != blocks || len(want) != blocks {
+			t.Fatalf("file-sized request queued %d (%v), want %d", wantN, want, blocks)
+		}
+		for _, c := range []struct {
+			name      string
+			off, size int64
+			wantN     int64
+			want      []int64
+		}{
+			{"2^62 bytes", 0, 1 << 62, wantN, want},
+			{"negative offset", -1 << 62, 1<<62 + blocks*BlockSize, wantN, want},
+			{"overflowing end", 4 * BlockSize, math.MaxInt64, 0, nil},
+		} {
+			n, got := prefetch(c.off, c.size)
+			if n != c.wantN || !slices.Equal(got, c.want) {
+				t.Errorf("%s: queued %d %v, want %d %v", c.name, n, got, c.wantN, c.want)
+			}
 		}
 	})
 }

@@ -132,7 +132,6 @@ var (
 	ErrOccupied        = errors.New("graft: function point already grafted")
 	ErrBadResult       = errors.New("graft: result failed validation")
 	ErrWatchdog        = errors.New("graft: forward-progress watchdog expired")
-	ErrRemoved         = errors.New("graft: graft was removed")
 	ErrExpelled        = errors.New("graft: image permanently expelled by the supervisor")
 )
 

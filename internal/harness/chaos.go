@@ -32,15 +32,9 @@ type ChaosConfig struct {
 	Seed int64
 	// Classes selects which fault classes to inject (nil = all).
 	Classes []fault.Class
-	// RulesPerClass is K, the number of injections scheduled per class
-	// (default 3).
-	RulesPerClass int
 	// Iterations sizes each workload phase (default 48; -quick uses
 	// less).
 	Iterations int
-	// TraceDepth sizes the flight recorder (default 8192 so no events
-	// drop and dumps compare exactly).
-	TraceDepth int
 	// NCPU is the simulated CPU count (default 1, the classic
 	// configuration). Larger values run the same survival audit with
 	// per-CPU run queues; equal seeds still produce byte-identical
@@ -52,7 +46,7 @@ type ChaosConfig struct {
 	// objects under injection.
 	Extended bool
 	// Plan, when non-nil, is used verbatim instead of deriving one from
-	// Seed/Classes/RulesPerClass — the replay path for saved or
+	// Seed and Classes (see FreshPlan) — the replay path for saved or
 	// hand-minimised plans (fault.Decode). Seed should match Plan.Seed
 	// so seed-keyed workload decisions replay too; RunChaos copies it
 	// over when it does not.
@@ -87,9 +81,6 @@ type ChaosConfig struct {
 	// from a delayed-detection panic can rewind past the newest
 	// checkpoint to one predating the taint.
 	CheckpointRing int
-	// CrashRulesPerSite is how many Panic rules are derived per crash
-	// site (default 2) when Crash is set and no explicit Plan is given.
-	CrashRulesPerSite int
 	// NoRecover disables checkpointing and recovery: the first injected
 	// panic of the crash phase is fatal and reported as FatalPanic. The
 	// minimizer replays candidate plans under NoRecover to check that a
@@ -131,24 +122,24 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
 	}
-	if cfg.RulesPerClass <= 0 {
-		cfg.RulesPerClass = 3
-	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 48
 	}
-	if cfg.TraceDepth <= 0 {
-		cfg.TraceDepth = 8192
-	}
-	if cfg.Crash {
-		if cfg.CheckpointEvery <= 0 {
-			cfg.CheckpointEvery = 20 * time.Millisecond
-		}
-		if cfg.CrashRulesPerSite <= 0 {
-			cfg.CrashRulesPerSite = 2
-		}
+	if cfg.Crash && cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = 20 * time.Millisecond
 	}
 	return cfg
+}
+
+// FreshPlan derives a chaos plan from a seed: three rules for each of
+// classes and, with crash, two panic rules for each crash site. Equal
+// arguments yield equal plans.
+func FreshPlan(seed int64, classes []fault.Class, crash bool) *fault.Plan {
+	p := fault.NewPlan(seed, classes, 3)
+	if crash {
+		p.Rules = append(p.Rules, fault.NewCrashRules(seed, 2)...)
+	}
+	return p
 }
 
 // ChaosReport is the outcome of a chaos run.
@@ -371,15 +362,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	plan := cfg.Plan
 	if plan == nil {
-		plan = fault.NewPlan(cfg.Seed, cfg.Classes, cfg.RulesPerClass)
-		if cfg.Crash {
-			plan.Rules = append(plan.Rules, fault.NewCrashRules(cfg.Seed, cfg.CrashRulesPerSite)...)
-		}
+		plan = FreshPlan(cfg.Seed, cfg.Classes, cfg.Crash)
 	} else {
 		cfg.Seed = plan.Seed
 	}
 	kcfg := kernel.Config{
-		TraceDepth:  cfg.TraceDepth,
+		TraceDepth:  8192, // no event drops, so dumps compare exactly
 		Seed:        cfg.Seed,
 		NumCPUs:     cfg.NCPU,
 		FaultPlan:   plan,

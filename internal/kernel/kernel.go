@@ -64,11 +64,6 @@ type Config struct {
 	// removed on the first abort. Nil keeps the classic remove-on-abort
 	// behaviour (and byte-identical traces for existing seeds).
 	GuardPolicy *guard.Policy
-	// TenantPolicy, when non-nil, arms the multi-tenant layer: the
-	// kernel carries a tenant.Registry binding graft installs to tenant
-	// identities, each with its own resource account and escalation
-	// standing. Nil keeps the kernel tenant-free (and byte-identical).
-	TenantPolicy *tenant.Policy
 	// CheckpointEvery, when positive, arms crash containment: the kernel
 	// checkpoints its recoverable state at this virtual-time cadence and
 	// RunRecovered restores the last checkpoint instead of dying when a
@@ -122,8 +117,8 @@ type Kernel struct {
 	// Guard is the graft supervisor (nil unless GuardPolicy was set);
 	// Guard.Report() snapshots the health ledger.
 	Guard *guard.Supervisor
-	// Tenants is the multi-tenant registry (nil unless TenantPolicy was
-	// set). A fleet driver replacing a dead instance reassigns the old
+	// Tenants is the multi-tenant registry (nil unless a fleet driver
+	// assigned one). A fleet replacing a dead instance reassigns the old
 	// registry here so tenant standing survives the reboot.
 	Tenants *tenant.Registry
 	// Crash is the checkpoint/restore manager (nil unless CheckpointEvery
@@ -188,9 +183,6 @@ func New(cfg Config) *Kernel {
 	if cfg.GuardPolicy != nil {
 		k.Guard = guard.New(clock, tr, *cfg.GuardPolicy)
 		reg.Supervisor = k.Guard
-	}
-	if cfg.TenantPolicy != nil {
-		k.Tenants = tenant.New(clock, tr, *cfg.TenantPolicy)
 	}
 	k.recoverScope = cfg.RecoverScope
 	if cfg.CheckpointEvery > 0 {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vino/internal/par"
 	"vino/internal/sfi"
 )
 
@@ -520,40 +521,13 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// mix is the splitmix64 finalizer, deriving per-case sentinel streams
-// from the master seed (fleet's mix is the same function; campaign's
-// also multiplies and offsets b, so its streams differ).
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // Run executes the corpus and merges verdicts in corpus order.
 func Run(cfg Config) *Result {
 	cases := Corpus()
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	verdicts := make([]Verdict, len(cases))
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < cfg.Workers; w++ {
-		go func() {
-			for id := range jobs {
-				verdicts[id] = runCase(cases[id], mix(cfg.Seed, int64(id)), !cfg.interpret)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for id := range cases {
-		jobs <- id
-	}
-	close(jobs)
-	for w := 0; w < cfg.Workers; w++ {
-		<-done
-	}
+	par.Each(cfg.Workers, len(cases), func(id int) {
+		verdicts[id] = runCase(cases[id], par.Mix(cfg.Seed, int64(id)), !cfg.interpret)
+	})
 	res := &Result{Seed: cfg.Seed, Verdicts: verdicts}
 	for _, v := range verdicts {
 		switch v.Got {

@@ -343,26 +343,26 @@ func (p *Program) exec(vm *VM, pc int) (int, bool, error) {
 				r[u.rd&regMask] = b2i(r[u.rs1&regMask] <= r[u.rs2&regMask])
 			case uLoad:
 				addr, w := r[u.rs1&regMask]+u.imm, int64(u.width)
-				if addr < 0 || addr+w > int64(len(vm.arena)) {
+				if addr < 0 || addr > int64(len(vm.arena))-w {
 					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, int(w)))
 				}
 				r[u.rd&regMask] = fastLoad(vm, addr, w)
 			case uStore:
 				addr, w := r[u.rs1&regMask]+u.imm, int64(u.width)
-				if addr < 0 || addr+w > int64(len(vm.arena)) {
+				if addr < 0 || addr > int64(len(vm.arena))-w {
 					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, int(w)))
 				}
 				fastStore(vm, addr, w, r[u.rs2&regMask])
 			case uPush:
 				r[RegSP] -= 8
 				addr := r[RegSP]
-				if addr < 0 || addr+8 > int64(len(vm.arena)) {
+				if addr < 0 || addr > int64(len(vm.arena))-8 {
 					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, 8))
 				}
 				fastStore(vm, addr, 8, r[u.rs1&regMask])
 			case uPop:
 				addr := r[RegSP]
-				if addr < 0 || addr+8 > int64(len(vm.arena)) {
+				if addr < 0 || addr > int64(len(vm.arena))-8 {
 					return 0, false, b.trap(vm, u.pos, vm.memErr(int(u.pc), vm.img.Code[u.pc], addr, 8))
 				}
 				r[u.rd&regMask] = fastLoad(vm, addr, 8)

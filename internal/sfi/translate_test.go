@@ -296,6 +296,28 @@ func TestTranslateTrapParity(t *testing.T) {
 			entry: "main", check: "outside the compartment segment",
 			prep: grantShare,
 		},
+		// Raw accesses whose end wraps past MaxInt64: an unverified
+		// image's machine check, not a Go runtime panic.
+		{
+			name:  "wrapped-address-load",
+			img:   mkUnsafe(t, ".name wl\n.func main\nmain:\n movi r1, 0x7ffffffffffffffc\n ld r0, [r1+0]\n ret"),
+			entry: "main", check: "outside arena",
+		},
+		{
+			name:  "wrapped-address-store",
+			img:   mkUnsafe(t, ".name ws\n.func main\nmain:\n movi r1, 0x7ffffffffffffffc\n st [r1+0], r1\n ret"),
+			entry: "main", check: "outside arena",
+		},
+		{
+			name:  "wrapped-address-push",
+			img:   mkUnsafe(t, ".name wpu\n.func main\nmain:\n movi sp, -0x7ffffffffffffffc\n push r1\n ret"),
+			entry: "main", check: "outside arena",
+		},
+		{
+			name:  "wrapped-address-pop",
+			img:   mkUnsafe(t, ".name wpo\n.func main\nmain:\n movi sp, 0x7ffffffffffffffc\n pop r1\n ret"),
+			entry: "main", check: "outside arena",
+		},
 		{
 			name:  "pop-underflow",
 			img:   mk(t, BuildCompartmented, ".name pu\n.func main\nmain:\n pop r1\n ret"),

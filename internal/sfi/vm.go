@@ -344,7 +344,7 @@ func (vm *VM) memErr(pc int, ins Instr, addr int64, n int) error {
 }
 
 func (vm *VM) load(pc int, ins Instr, addr int64, n int) (int64, error) {
-	if addr < 0 || addr+int64(n) > int64(len(vm.arena)) {
+	if addr < 0 || addr > int64(len(vm.arena))-int64(n) {
 		return 0, vm.memErr(pc, ins, addr, n)
 	}
 	var v int64
@@ -355,7 +355,7 @@ func (vm *VM) load(pc int, ins Instr, addr int64, n int) (int64, error) {
 }
 
 func (vm *VM) store(pc int, ins Instr, addr int64, n int, v int64) error {
-	if addr < 0 || addr+int64(n) > int64(len(vm.arena)) {
+	if addr < 0 || addr > int64(len(vm.arena))-int64(n) {
 		return vm.memErr(pc, ins, addr, n)
 	}
 	for i := 0; i < n; i++ {

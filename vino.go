@@ -38,7 +38,7 @@
 //
 // # Quick start
 //
-//	k := vino.New(vino.WithTrace(1024))
+//	k := vino.New(vino.Config{TraceDepth: 1024})
 //	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 4096)
 //	fsys.Create("db", 12<<20, 100, false)
 //	k.SpawnProcess("app", 100, func(p *vino.Process) {
@@ -65,11 +65,9 @@ package vino
 import (
 	"vino/internal/fs"
 	"vino/internal/graft"
-	"vino/internal/harness"
 	"vino/internal/kernel"
 	"vino/internal/netstk"
 	"vino/internal/sfi"
-	"vino/internal/trace"
 	"vino/internal/vmm"
 )
 
@@ -77,16 +75,17 @@ import (
 // transaction manager, and graft registry.
 type Kernel = kernel.Kernel
 
-// Config parameterises a kernel.
+// Config parameterises a kernel; the zero value builds the default
+// kernel.
 type Config = kernel.Config
+
+// New builds a kernel from cfg.
+func New(cfg Config) *Kernel { return kernel.New(cfg) }
 
 // Process is a user-level process with an identity and resource limits.
 type Process = kernel.Process
 
-// UID identifies a user; Root may graft global policy points.
-type UID = graft.UID
-
-// Root is the privileged user.
+// Root is the privileged user; only Root may graft global policy points.
 const Root = graft.Root
 
 // InstallOptions controls graft resource binding and event ordering.
@@ -100,9 +99,6 @@ type Installed = graft.Installed
 
 // FS is the simulated file system with the graftable compute-ra policy.
 type FS = fs.FS
-
-// OpenFile is an open file whose read-ahead policy can be grafted.
-type OpenFile = fs.OpenFile
 
 // Disk is the latency-modelled disk.
 type Disk = fs.Disk
@@ -122,12 +118,6 @@ func FujitsuDisk() fs.DiskParams { return fs.FujitsuM2694ESA() }
 // VMM is the paged virtual memory system with graftable eviction.
 type VMM = vmm.VMM
 
-// VAS is a virtual address space.
-type VAS = vmm.VAS
-
-// PageSize is the VM page size (4 KB).
-const PageSize = vmm.PageSize
-
 // NewVMM creates a VM system with the given number of physical frames.
 func NewVMM(k *Kernel, frames int) *VMM { return vmm.New(k, frames) }
 
@@ -139,26 +129,3 @@ func NewNet(k *Kernel) *Net { return netstk.New(k) }
 
 // Image is a compiled graft.
 type Image = sfi.Image
-
-// TraceBuffer is the kernel's flight recorder (Kernel.Trace).
-type TraceBuffer = trace.Buffer
-
-// TraceEvent is one recorded kernel event.
-type TraceEvent = trace.Event
-
-// Harness re-exports: the experiment tables of the paper's §4.
-type (
-	// Table is a reproduced overhead table (Tables 3–6).
-	Table = harness.Table
-	// AbortTable is the reproduced Table 7.
-	AbortTable = harness.AbortTable
-)
-
-// The experiment builders, one per paper table.
-var (
-	ReadAheadTable    = harness.ReadAheadTable
-	PageEvictionTable = harness.PageEvictionTable
-	SchedulingTable   = harness.SchedulingTable
-	EncryptionTable   = harness.EncryptionTable
-	GraftAbortTable   = harness.BuildAbortTable
-)
