@@ -256,10 +256,13 @@ type ChaosConfig = harness.ChaosConfig
 
 // Recovery scopes for Config.RecoverScope and ChaosConfig.RecoverScope.
 // RecoverScopeKernel (the default) restores the whole kernel image from
-// the last good checkpoint. RecoverScopeGraft restores only the
-// offending graft's rollback domain, and widens to the whole-kernel
-// restore when the crash entangles state outside it. Crash-free runs
-// are byte-identical under either scope.
+// the last good checkpoint. RecoverScopeGraft rolls back only the
+// offending graft's rollback domain — its orphaned transaction, whose
+// undo records revert every change it made through a graft-callable,
+// and its thread's locks — and widens to the whole-kernel restore when
+// that would be unsound (no offending graft or thread, corruption older
+// than the checkpoint, a lock shared with another thread). Crash-free
+// runs are byte-identical under either scope.
 const (
 	RecoverScopeKernel = kernel.RecoverScopeKernel
 	RecoverScopeGraft  = kernel.RecoverScopeGraft

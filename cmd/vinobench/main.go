@@ -11,7 +11,6 @@
 //	vinobench -sweep eviction
 //	vinobench -sweep smp      # multi-CPU throughput scaling
 //	vinobench -sweep smp -ncpu 8   # sweep 1,2,4,8 simulated CPUs
-//	vinobench -sweep recovery      # whole-kernel vs per-graft domain recovery cost
 //	vinobench -sweep sfi           # SFI check cost; exit 1 if translation misses its 2x gate
 //	vinobench -sweep campaign      # chaos-campaign runs/sec vs worker-pool size; exit 1 if a coverage map differs
 //	vinobench -sweep campaign -workers 8 -runs 64
@@ -36,7 +35,7 @@ import (
 func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	table := flag.Int("table", 0, "reproduce one paper table (3-7)")
-	sweep := flag.String("sweep", "", "parameter sweep: abort | readahead | eviction | timeout | smp | recovery | sfi | campaign | fleet")
+	sweep := flag.String("sweep", "", "parameter sweep: abort | readahead | eviction | timeout | smp | sfi | campaign | fleet")
 	ablation := flag.String("ablation", "", "design-choice ablation: lock | sfidensity | misfitopt | txn")
 	check := flag.Bool("check", false, "run semantic cross-checks")
 	jsonOut := flag.Bool("json", false, "sweep sfi: emit the result as JSON (for checked-in baselines)")
@@ -129,12 +128,6 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(s)
-		case "recovery":
-			pts, err := harness.RecoveryCostSweep(nil)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(harness.FormatRecoveryCostSweep(pts))
 		case "sfi":
 			res, err := harness.SFIOverheadSweep(0)
 			if err != nil {
@@ -234,7 +227,6 @@ func main() {
 		runSweep("eviction")
 		runSweep("timeout")
 		runSweep("smp")
-		runSweep("recovery")
 		runSweep("sfi")
 		runSweep("campaign")
 		runAblation("lock")

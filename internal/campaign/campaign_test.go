@@ -172,6 +172,26 @@ func TestEntryRoundTrip(t *testing.T) {
 	if _, err := DecodeEntry(plan.Encode()); err == nil {
 		t.Error("DecodeEntry accepted a bare plan without a signature header")
 	}
+
+	// A header line Encode could not have written is rejected, not read
+	// as a default: a hand-edited entry must not replay without the
+	// knobs it names.
+	for _, tc := range []struct{ name, from, to string }{
+		{"shrunk count not a number", "# shrunk: 12 rules removed", "# shrunk: lots rules removed"},
+		{"negative shrunk count", "# shrunk: 12 rules removed", "# shrunk: -1 rules removed"},
+		{"trailing shrunk text", "# shrunk: 12 rules removed", "# shrunk: 12 rules removed twice"},
+		{"extended not a boolean", "extended=true", "extended=yes"},
+		{"crash not a boolean", "crash=true", "crash=1"},
+		{"unknown chaos key", "crash=true", "crash=true recover=graft"},
+	} {
+		bad := strings.Replace(e.Encode(), tc.from, tc.to, 1)
+		if bad == e.Encode() {
+			t.Fatalf("%s: %q not in the encoded entry", tc.name, tc.from)
+		}
+		if _, err := DecodeEntry(bad); err == nil {
+			t.Errorf("%s: DecodeEntry accepted %q", tc.name, tc.to)
+		}
+	}
 }
 
 // FuzzDecodeEntry: arbitrary text decodes to an error or a corpus

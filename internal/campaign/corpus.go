@@ -140,14 +140,28 @@ func DecodeEntry(s string) (*Entry, error) {
 						return nil, fmt.Errorf("campaign: bad ncpu=%q", val)
 					}
 					e.NCPU = n
-				case "extended":
-					e.Extended = val == "true"
-				case "crash":
-					e.Crash = val == "true"
+				case "extended", "crash":
+					// Exactly what Encode writes: a hand-edited entry must
+					// not replay without the knob it names.
+					if val != "true" && val != "false" {
+						return nil, fmt.Errorf("campaign: bad %s=%q", key, val)
+					}
+					if key == "extended" {
+						e.Extended = val == "true"
+					} else {
+						e.Crash = val == "true"
+					}
+				default:
+					return nil, fmt.Errorf("campaign: unknown chaos field %q", f)
 				}
 			}
 		case strings.HasPrefix(line, "# shrunk: "):
-			fmt.Sscanf(line, "# shrunk: %d rules removed", &e.Removed)
+			count, ok := strings.CutSuffix(strings.TrimPrefix(line, "# shrunk: "), " rules removed")
+			n, err := strconv.Atoi(count)
+			if !ok || err != nil || n < 0 {
+				return nil, fmt.Errorf("campaign: bad shrunk line %q", line)
+			}
+			e.Removed = n
 		}
 	}
 	if !sawSig {

@@ -219,15 +219,12 @@ type Stats struct {
 	// Recoveries completed (always ≤ Panics; a panic with no
 	// checkpoint available is fatal and not recovered).
 	Recoveries int64
-	// ScopedRecoveries counts recoveries that restored only the
+	// ScopedRecoveries counts recoveries that rolled back only the
 	// offending graft's rollback domain (included in Recoveries).
 	ScopedRecoveries int64
-	// WidenedRecoveries counts scoped-recovery attempts that detected
-	// cross-domain entanglement and fell back to a whole-kernel restore.
+	// WidenedRecoveries counts scoped-recovery attempts that found
+	// scoping unsound and fell back to a whole-kernel restore.
 	WidenedRecoveries int64
-	// RolledBackBytes accumulates the state payload reverted by scoped
-	// (domain) restores.
-	RolledBackBytes int64
 	// ByClass buckets contained panics by taxonomy class.
 	ByClass map[Class]int64
 }
@@ -236,7 +233,6 @@ type Stats struct {
 // every subsystem registered at capture time.
 type checkpoint struct {
 	seq  int64
-	gen  uint64
 	at   time.Duration
 	snap []any // parallel to Manager.subs at capture time
 	// tainted records that a subsystem audit reported an invariant
@@ -258,7 +254,6 @@ type Manager struct {
 	entries    []*checkpoint // oldest first
 	ring       int
 	seq        int64
-	gen        uint64
 	stats      Stats
 	persistDir string
 	persistErr error
@@ -274,7 +269,6 @@ func NewManager(clock *simclock.Clock, tr *trace.Buffer, every time.Duration) *M
 		tr:    tr,
 		every: every,
 		ring:  1,
-		gen:   1,
 		stats: Stats{ByClass: make(map[Class]int64)},
 	}
 }
@@ -292,12 +286,6 @@ func (m *Manager) SetRing(n int) {
 	m.ring = n
 	m.trim()
 }
-
-// Gen returns the current generation. Subsystems stamp mutations with
-// it; a capture records the generation current at capture time and the
-// generation then advances, so "modified at a stamp greater than a
-// capture's generation" means "modified after that capture".
-func (m *Manager) Gen() uint64 { return m.gen }
 
 // Checkpoints reports the current number of ring entries.
 func (m *Manager) Checkpoints() int { return len(m.entries) }
@@ -320,11 +308,10 @@ func (m *Manager) CheckpointDue() bool {
 // event.
 func (m *Manager) TakeCheckpoint() {
 	m.seq++
-	cp := &checkpoint{seq: m.seq, gen: m.gen, at: m.clock.Now(), snap: make([]any, len(m.subs))}
+	cp := &checkpoint{seq: m.seq, at: m.clock.Now(), snap: make([]any, len(m.subs))}
 	for i, s := range m.subs {
 		cp.snap[i] = s.CrashSnapshot()
 	}
-	m.gen++
 	for _, s := range m.subs {
 		if a, ok := s.(Auditor); ok && len(a.CrashAudit()) > 0 {
 			cp.tainted = true

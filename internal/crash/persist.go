@@ -49,7 +49,6 @@ type Exporter interface {
 // diskManifest is the on-disk image of one checkpoint.
 type diskManifest struct {
 	Seq  int64
-	Gen  uint64
 	At   time.Duration
 	Subs map[string][]byte // CrashName -> CrashExport payload
 }
@@ -83,7 +82,7 @@ func (m *Manager) persist(cp *checkpoint) {
 	if m.persistDir == "" {
 		return
 	}
-	man := &diskManifest{Seq: cp.seq, Gen: cp.gen, At: cp.at, Subs: make(map[string][]byte)}
+	man := &diskManifest{Seq: cp.seq, At: cp.at, Subs: make(map[string][]byte)}
 	for _, s := range m.subs {
 		e, ok := s.(Exporter)
 		if !ok {
@@ -204,6 +203,5 @@ func (m *Manager) RestoreFromDisk() (time.Duration, error) {
 	}
 	m.entries = nil
 	m.seq = man.Seq
-	m.gen = man.Gen + 1
 	return man.At, nil
 }

@@ -76,16 +76,6 @@ func (c *cache) put(lba int64, data []byte, prefetched bool) {
 	c.byLBA[lba] = c.lru.PushFront(&cacheEntry{lba: lba, data: data, prefetched: prefetched})
 }
 
-// drop evicts lba if resident, without touching the LRU order of the
-// remaining entries. Domain-scoped restores use it to shed cached
-// copies of reverted blocks.
-func (c *cache) drop(lba int64) {
-	if e, ok := c.byLBA[lba]; ok {
-		c.lru.Remove(e)
-		delete(c.byLBA, lba)
-	}
-}
-
 // inFlight reports whether an asynchronous fetch of lba is outstanding.
 func (c *cache) inFlight(lba int64) bool {
 	_, ok := c.fetching[lba]

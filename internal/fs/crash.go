@@ -98,24 +98,6 @@ func (fs *FS) CrashSnapshot() any {
 	return s
 }
 
-// SnapshotBytes sizes a CrashSnapshot result by the block payload its
-// image holds, the dominant term of a file-system checkpoint. The
-// blocks are shared with live state, not copied; the recovery sweep
-// reports the figure as the payload a whole-kernel restore rewinds.
-func SnapshotBytes(snap any) int64 {
-	s, ok := snap.(*fsSnap)
-	if !ok {
-		return 0
-	}
-	var n int64
-	for _, f := range s.files {
-		for _, blk := range f.dirty {
-			n += int64(len(blk))
-		}
-	}
-	return n
-}
-
 // CrashRestore implements crash.Snapshotter.
 func (fs *FS) CrashRestore(snap any) {
 	s := snap.(*fsSnap)
@@ -128,15 +110,8 @@ func (fs *FS) CrashRestore(snap any) {
 	fs.files = make(map[string]*File, len(s.files))
 	for n, fsn := range s.files {
 		fsn.file.dirty = maps.Clone(fsn.dirty)
-		// Restored blocks match the checkpoint image exactly, so their
-		// stamps die here: every domain was reverted at once.
-		fsn.file.dirtyGen = nil
-		fsn.file.dirtyOwner = nil
 		fs.files[n] = fsn.file
 	}
-	// A whole-kernel restore rewinds every domain at once, so recorded
-	// cross-owner conflicts are moot.
-	fs.ownerConflicts = nil
 	fs.dirs = make(map[string]bool, len(s.dirs))
 	for d := range s.dirs {
 		fs.dirs[d] = true
@@ -256,104 +231,6 @@ func (fs *FS) checkImport(ex *fsExport) error {
 		}
 	}
 	return nil
-}
-
-func ownerName(o string) string {
-	if o == "" {
-		return "kernel"
-	}
-	return o
-}
-
-// CrashOwnerConflicts implements crash.DomainScoper: it reports blocks
-// where owner and another domain both wrote after sinceGen. Reverting
-// the offender's copy of such a block would also rewind the other
-// domain's completed write, so recovery must widen. Conflicts where
-// either write predates the checkpoint are moot — the older write is
-// already durable in the checkpoint image. The conflict log is
-// append-only between whole-kernel restores; at simulator scale the
-// unbounded growth is acceptable.
-func (fs *FS) CrashOwnerConflicts(sinceGen uint64, owner string) []string {
-	var out []string
-	for _, c := range fs.ownerConflicts {
-		if c.gen <= sinceGen || c.prevGen <= sinceGen {
-			continue
-		}
-		if c.owner != owner && c.prevOwner != owner {
-			continue
-		}
-		out = append(out, fmt.Sprintf("file %q block %d: %s overwrote %s",
-			c.file, c.block, ownerName(c.owner), ownerName(c.prevOwner)))
-	}
-	return out
-}
-
-// CrashRestoreDomain implements crash.DomainScoper: it reverts only the
-// blocks owner dirtied after sinceGen back to their content in snap (the
-// full image captured at that generation), and removes files owner
-// created after the checkpoint. Everything else — other owners' writes,
-// the shared descriptor table, counters, the untouched cache entries —
-// stays live.
-func (fs *FS) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 {
-	s := snap.(*fsSnap)
-	var bytes int64
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := fs.files[n]
-		if f.crashOwner == owner && owner != "" && f.genCreated > sinceGen {
-			// The offender created this file after the checkpoint: it
-			// vanishes wholesale, along with any descriptors onto it
-			// (which fail closed, as after a whole-kernel restore).
-			for _, blk := range f.dirty {
-				bytes += int64(len(blk))
-			}
-			for fd, of := range fs.fdTable {
-				if of.file == f {
-					of.closed = true
-					delete(fs.fdTable, fd)
-				}
-			}
-			for b := int64(0); b < f.Blocks(); b++ {
-				fs.cache.drop(f.start + b)
-			}
-			delete(fs.files, n)
-			continue
-		}
-		if len(f.dirtyOwner) == 0 {
-			continue
-		}
-		fsn := s.files[n]
-		blocks := make([]int64, 0, len(f.dirtyOwner))
-		for b, own := range f.dirtyOwner {
-			if own == owner && f.dirtyGen[b] > sinceGen {
-				blocks = append(blocks, b)
-			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
-			if fsn != nil {
-				if blk, ok := fsn.dirty[b]; ok {
-					f.dirty[b] = blk
-				} else {
-					delete(f.dirty, b)
-				}
-			} else {
-				// File absent from the checkpoint image (created after it
-				// by another domain): the offender's block reverts to
-				// pristine content.
-				delete(f.dirty, b)
-			}
-			delete(f.dirtyOwner, b)
-			delete(f.dirtyGen, b)
-			fs.cache.drop(f.start + b)
-			bytes += BlockSize
-		}
-	}
-	return bytes
 }
 
 // CrashAudit implements crash.Auditor: a read-only structural check

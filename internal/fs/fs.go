@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"vino/internal/crash"
 	"vino/internal/graft"
 	"vino/internal/kernel"
 	"vino/internal/lock"
@@ -43,21 +42,6 @@ type FS struct {
 
 	openFileLockClass *lock.Class
 	stats             Stats
-
-	// ownerConflicts records cross-owner block overwrites for the
-	// rollback-domain widening check (see CrashOwnerConflicts). Cleared
-	// on whole-kernel restore; entries older than the surviving
-	// checkpoint are filtered at query time.
-	ownerConflicts []ownerConflict
-}
-
-// ownerConflict is one cross-owner overwrite of a dirty block: owner
-// wrote at gen over prevOwner's write at prevGen.
-type ownerConflict struct {
-	file             string
-	block            int64
-	prevGen, gen     uint64
-	prevOwner, owner string
 }
 
 // Stats aggregates file-system counters.
@@ -124,39 +108,6 @@ type File struct {
 	start  int64 // first LBA
 	fs     *FS
 	dirty  map[int64][]byte // overwritten blocks (block number -> data)
-
-	// Rollback-domain generation stamps: the crash-manager generation
-	// at which the file was created and each dirty block last written,
-	// so a domain-scoped restore reverts only what changed after its
-	// checkpoint. Zero stamps (no crash manager, or state just
-	// restored) are never newer than a capture.
-	genCreated uint64
-	dirtyGen   map[int64]uint64
-
-	// Rollback-domain owner stamps: the domain that created the file and
-	// the domain whose write last dirtied each block ("" is the shared
-	// base domain). A domain-scoped restore reverts only the offender's
-	// stamped blocks.
-	crashOwner string
-	dirtyOwner map[int64]string
-}
-
-// crashGen returns the crash manager's current generation for dirty
-// stamping, or zero when checkpoints are off.
-func (fs *FS) crashGen() uint64 {
-	if fs.k != nil && fs.k.Crash != nil {
-		return fs.k.Crash.Gen()
-	}
-	return 0
-}
-
-// curOwner returns the rollback-domain owner stamped on the running
-// thread ("" outside graft dispatch, and outside Run).
-func (fs *FS) curOwner() string {
-	if fs.k == nil || fs.k.Sched == nil {
-		return ""
-	}
-	return crash.Owner(fs.k.Sched.Current())
 }
 
 // fileGap is the run of unused blocks Create leaves after each file.
@@ -166,7 +117,7 @@ const fileGap = 16
 // deterministic: byte i of block b is a function of (lba, i), so tests
 // can verify reads without storing the data.
 func (fs *FS) Create(name string, size int64, owner graft.UID, public bool) *File {
-	f := &File{Name: name, Size: size, Owner: owner, Public: public, start: fs.nextLBA, fs: fs, dirty: make(map[int64][]byte), genCreated: fs.crashGen(), crashOwner: fs.curOwner()}
+	f := &File{Name: name, Size: size, Owner: owner, Public: public, start: fs.nextLBA, fs: fs, dirty: make(map[int64][]byte)}
 	fs.nextLBA += (size+BlockSize-1)/BlockSize + fileGap
 	fs.files[name] = f
 	return f
@@ -578,24 +529,6 @@ func (of *OpenFile) WriteAt(t *sched.Thread, data []byte, off int64) (int, error
 		blk := append([]byte(nil), of.file.blockContent(b)...)
 		copy(blk[blockOff:], data[written:written+chunk])
 		of.file.dirty[b] = blk
-		if g := of.fs.crashGen(); g != 0 {
-			if of.file.dirtyGen == nil {
-				of.file.dirtyGen = make(map[int64]uint64)
-			}
-			owner := of.fs.curOwner()
-			if prev, stamped := of.file.dirtyOwner[b]; stamped && prev != owner {
-				of.fs.ownerConflicts = append(of.fs.ownerConflicts, ownerConflict{
-					file: of.file.Name, block: b,
-					prevGen: of.file.dirtyGen[b], gen: g,
-					prevOwner: prev, owner: owner,
-				})
-			}
-			if of.file.dirtyOwner == nil {
-				of.file.dirtyOwner = make(map[int64]string)
-			}
-			of.file.dirtyOwner[b] = owner
-			of.file.dirtyGen[b] = g
-		}
 		of.fs.cache.put(of.file.start+b, blk, false)
 		written += chunk
 	}

@@ -202,7 +202,7 @@ type Point struct {
 	KeepOnAbort bool
 	// NoTxn runs grafts at this point WITHOUT transaction protection.
 	// The dispatch wrapper is the same one every point uses — admission,
-	// the owner stamp, grant revocation, PreGraft, Validate, outcome
+	// grant revocation, PreGraft, Validate, outcome
 	// reporting, trace events and the removal decision all happen as
 	// usual — minus the transaction and the account swap and watchdog
 	// that come with it: callables see no current transaction, so no

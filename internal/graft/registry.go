@@ -579,12 +579,12 @@ func abortCause(err error, undoPanicked bool) txn.AbortCause {
 
 // stub is the wrapper stub of §3.1. In order: begin the transaction,
 // swap the thread's resource account for the graft's, arm the
-// watchdog, make the graft current, stamp the rollback owner, run the
-// PreGraft hook, call the graft in its sandbox and validate the result;
-// unwinding runs in reverse before the commit or abort. Probation
-// invocations run under a watchdog tightened by the supervisor's
-// policy. A NoTxn point runs the same sequence without the
-// transaction, the account swap and the watchdog.
+// watchdog, make the graft current, run the PreGraft hook, call the
+// graft in its sandbox and validate the result; unwinding runs in
+// reverse before the commit or abort. Probation invocations run under
+// a watchdog tightened by the supervisor's policy. A NoTxn point runs
+// the same sequence without the transaction, the account swap and the
+// watchdog.
 func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation bool, args []int64) (int64, error) {
 	p := g.Point
 	p.stats.GraftedCalls++
@@ -639,13 +639,6 @@ func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation boo
 		prevThread := g.curThread
 		g.curThread = t
 		defer func() { g.curThread = prevThread }()
-
-		// Kernel-state writes made on the graft's behalf — including the
-		// PreGraft hook and accessor calls — land in its rollback domain,
-		// so a scoped crash recovery can revert exactly this graft's
-		// damage. Dispatch nests, hence the save/restore.
-		prevOwner := crash.SetOwner(t, key)
-		defer crash.SetOwner(t, prevOwner)
 
 		// Shared-buffer grants are per-dispatch: whatever the PreGraft
 		// hook (or a kernel callable) opened is revoked when this

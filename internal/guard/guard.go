@@ -217,11 +217,6 @@ type GraftHealth struct {
 	// cheap to abort yet ruinous to recover from.
 	Recoveries   int64
 	RecoveryCost time.Duration
-	// RolledBackBytes is the state payload reverted by domain-scoped
-	// recoveries billed to this graft (zero under whole-kernel scope,
-	// where the rewind is global and unattributable). Not rendered in
-	// Table — the recovery sweep reports it.
-	RolledBackBytes int64
 	// QuarantineEnd is the virtual instant the current quarantine
 	// expires (meaningful while State is Quarantined).
 	QuarantineEnd time.Duration
@@ -404,25 +399,15 @@ func (s *Supervisor) RecordGrantAudit(key, region string, reads, writes int64) {
 }
 
 // RecordRecovery bills a kernel-panic recovery to the offending graft:
-// rewound is the virtual time between the crash instant and the restored
-// checkpoint, i.e. the work the crash destroyed. Kept apart from abort
-// costs so the ledger distinguishes contained-abort overhead from
-// whole-kernel rewinds.
+// rewound is the virtual time between the crash instant and the
+// checkpoint recovery kept, i.e. the work a whole-kernel restore
+// destroys (a scoped recovery bills the same distance, the damage it
+// contained). Kept apart from abort costs so the ledger distinguishes
+// contained-abort overhead from recoveries.
 func (s *Supervisor) RecordRecovery(key string, rewound time.Duration) {
 	e := s.get(key)
 	e.Recoveries++
 	e.RecoveryCost += rewound
-}
-
-// RecordDomainRecovery bills a domain-scoped recovery: the rewound time
-// lands on the same REC axis as a whole-kernel recovery (it is the same
-// kind of damage, just contained), and the reverted payload is tracked
-// so the ledger shows how much state the graft's crash actually cost.
-func (s *Supervisor) RecordDomainRecovery(key string, rewound time.Duration, bytes int64) {
-	e := s.get(key)
-	e.Recoveries++
-	e.RecoveryCost += rewound
-	e.RolledBackBytes += bytes
 }
 
 // StateOf returns the ledger state for key; ok is false for grafts the

@@ -88,10 +88,11 @@ type ChaosConfig struct {
 	NoRecover bool
 	// RecoverScope selects what a contained panic rolls back:
 	// kernel.RecoverScopeKernel (default) restores the whole checkpoint;
-	// kernel.RecoverScopeGraft reverts only the offending graft's
-	// rollback domain, leaving other grafts' in-flight work live, and
-	// widens to a whole-kernel restore on cross-domain entanglement.
-	// Crash-free runs are byte-identical under either scope.
+	// kernel.RecoverScopeGraft rolls back only the offending graft's
+	// rollback domain (its orphaned transaction and its thread's
+	// locks), leaving other grafts' work live, and widens to a
+	// whole-kernel restore when scoping would be unsound. Crash-free
+	// runs are byte-identical under either scope.
 	RecoverScope string
 	// CheckpointDir, when non-empty, persists the checkpoint ring to
 	// disk (see kernel.Config.CheckpointDir).
@@ -179,10 +180,13 @@ type ChaosReport struct {
 	// taken (all zero unless the run was configured with Crash).
 	Panics, Recoveries, Checkpoints int64
 	// ScopedRecoveries and WidenedRecoveries break down recoveries under
-	// RecoverScope graft: domain-scoped restores completed, and scoped
-	// attempts that widened to a whole-kernel restore. RolledBackBytes
-	// is the state payload the scoped restores reverted.
-	ScopedRecoveries, WidenedRecoveries, RolledBackBytes int64
+	// RecoverScope graft: domain-scoped recoveries completed, and scoped
+	// attempts that widened to a whole-kernel restore.
+	ScopedRecoveries, WidenedRecoveries int64
+	// RolledBackBytes is always 0: a scoped recovery unwinds the
+	// offender's transaction and locks and reverts no file blocks or
+	// pages. The bench module reads it and CounterSummary prints it.
+	RolledBackBytes int64
 	// NonOffenderSurvivals counts recovery rounds of the crash phase in
 	// which transactions committed after the round began were still on
 	// the books once recovery completed — work a whole-kernel rewind
@@ -458,7 +462,6 @@ func (c *chaosRun) finishReport() {
 		cs := c.k.Crash.Stats()
 		r.Panics, r.Recoveries, r.Checkpoints = cs.Panics, cs.Recoveries, cs.Checkpoints
 		r.ScopedRecoveries, r.WidenedRecoveries = cs.ScopedRecoveries, cs.WidenedRecoveries
-		r.RolledBackBytes = cs.RolledBackBytes
 		r.PanicsByClass = cs.ByClass
 	}
 	r.CrashedSites = c.k.Faults.CrashedBySite()

@@ -112,6 +112,23 @@ func TestGoldenCrashDump(t *testing.T) {
 	}
 }
 
+// TestGoldenGraftScopeCrash pins the same crash run under graft-scoped
+// recovery, the configuration bench's chaos-crash workload runs. The
+// summary carries CounterSummary too: the scoped and widened recovery
+// counts are printed only there. The dump pins the domain-restore and
+// recovery-widened events.
+func TestGoldenGraftScopeCrash(t *testing.T) {
+	rep, err := RunChaos(ChaosConfig{Seed: 7, Extended: true, Crash: true, RecoverScope: kernel.RecoverScopeGraft})
+	if err != nil {
+		t.Fatalf("RunChaos: %v", err)
+	}
+	if !rep.Survived() {
+		t.Fatalf("crash run did not survive:\n%s", rep.Summary())
+	}
+	goldenCompare(t, "crash-seed7-graft.summary", rep.Summary()+rep.CounterSummary())
+	goldenCompare(t, "crash-seed7-graft.dump", rep.TraceDump)
+}
+
 func TestGoldenTables(t *testing.T) {
 	var b strings.Builder
 	if tab, err := ReadAheadTable(); err != nil {

@@ -49,7 +49,7 @@ func domPoint(k *kernel.Kernel, name string) *graft.Point {
 }
 
 // writeByte fills the first block of name with pattern b through the
-// real write path (so owner stamps and dirty generations fire).
+// real write path.
 func writeByte(t *testing.T, fsys *vfs.FS, th *sched.Thread, name string, b byte) {
 	t.Helper()
 	of, err := fsys.Open(th, name)
@@ -83,11 +83,10 @@ func readByte(t *testing.T, fsys *vfs.FS, th *sched.Thread, name string) byte {
 	return buf[0]
 }
 
-// TestScopedRecoveryLeavesSurvivorsLive is the tentpole's core claim:
+// TestScopedRecoveryLeavesSurvivorsLive is graft scope's core claim:
 // a panic inside one graft's dispatch rolls back only that graft's
-// domain. A committed non-offender invocation, a base-domain file
-// write, and virtual time all survive; the offender's owner-stamped
-// block reverts to the checkpoint image.
+// domain. A committed non-offender invocation, a file write made
+// outside any dispatch, and virtual time all survive.
 func TestScopedRecoveryLeavesSurvivorsLive(t *testing.T) {
 	k := kernel.New(kernel.Config{
 		ZeroTxnCosts:    true,
@@ -99,10 +98,8 @@ func TestScopedRecoveryLeavesSurvivorsLive(t *testing.T) {
 	offPt := domPoint(k, "off.fn")
 	fsys := vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), 256)
 	fsys.Create("surv-data", 4*vfs.BlockSize, graft.Root, false)
-	fsys.Create("off-data", 4*vfs.BlockSize, graft.Root, false)
 	k.SpawnProcess("prefill", graft.Root, func(p *kernel.Process) {
 		writeByte(t, fsys, p.Thread, "surv-data", 0x11)
-		writeByte(t, fsys, p.Thread, "off-data", 0x22)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("prefill: %v", err)
@@ -126,11 +123,6 @@ func TestScopedRecoveryLeavesSurvivorsLive(t *testing.T) {
 		offKey = g.GuardKey()
 		survPt.Invoke(th) // dispatch 1: commits, a survivor transaction
 		writeByte(t, fsys, th, "surv-data", 0x5A)
-		// The offender's footprint: a write made while its dispatch owner
-		// is active, exactly as fs stamps writes issued from graft code.
-		prev := crash.SetOwner(th, offKey)
-		writeByte(t, fsys, th, "off-data", 0xA5)
-		crash.SetOwner(th, prev)
 		offPt.Invoke(th) // dispatch 2: injected panic mid-dispatch
 		reached = true
 	})
@@ -168,17 +160,11 @@ func TestScopedRecoveryLeavesSurvivorsLive(t *testing.T) {
 	if wevs := k.Trace.Filter(trace.RecoveryWidened); len(wevs) != 0 {
 		t.Errorf("recovery widened: %v", wevs)
 	}
-	if len(k.Trace.Filter(trace.DomainCheckpoint)) != 1 {
-		t.Errorf("domain-checkpoint events = %v", k.Trace.Filter(trace.DomainCheckpoint))
-	}
 
 	k.Faults.DisableCrash()
 	k.SpawnProcess("reader", graft.Root, func(p *kernel.Process) {
 		if b := readByte(t, fsys, p.Thread, "surv-data"); b != 0x5A {
 			t.Errorf("surv-data = %#x, want survivor write 0x5a", b)
-		}
-		if b := readByte(t, fsys, p.Thread, "off-data"); b != 0x22 {
-			t.Errorf("off-data = %#x, want checkpoint image 0x22", b)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -186,72 +172,6 @@ func TestScopedRecoveryLeavesSurvivorsLive(t *testing.T) {
 	}
 	for _, bad := range fsys.Fsck() {
 		t.Errorf("fsck: %s", bad)
-	}
-}
-
-// TestScopedRecoveryWidensOnSharedWrite: when the offender and the base
-// domain both wrote the same file block since the checkpoint, a scoped
-// revert would clobber the other party's data — recovery must widen to
-// the whole-kernel restore and rewind the clock.
-func TestScopedRecoveryWidensOnSharedWrite(t *testing.T) {
-	k := kernel.New(kernel.Config{
-		ZeroTxnCosts:    true,
-		CheckpointEvery: time.Hour,
-		RecoverScope:    kernel.RecoverScopeGraft,
-		FaultPlan:       domPanicPlan(1),
-	})
-	offPt := domPoint(k, "off.fn")
-	fsys := vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), 256)
-	fsys.Create("shared", 4*vfs.BlockSize, graft.Root, false)
-	k.SpawnProcess("prefill", graft.Root, func(p *kernel.Process) {
-		writeByte(t, fsys, p.Thread, "shared", 0x11)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("prefill: %v", err)
-	}
-	k.Checkpoint()
-	cpAt := k.Clock.Now()
-	k.Faults.EnableCrash()
-
-	k.SpawnProcess("app", graft.Root, func(p *kernel.Process) {
-		th := p.Thread
-		g, err := p.BuildAndInstall("off.fn", domOkSrc, graft.InstallOptions{})
-		if err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
-		writeByte(t, fsys, th, "shared", 0x22) // base domain writes first
-		prev := crash.SetOwner(th, g.GuardKey())
-		writeByte(t, fsys, th, "shared", 0xA5) // offender overwrites: cross-domain
-		crash.SetOwner(th, prev)
-		offPt.Invoke(th) // injected panic
-	})
-	recovered, err := k.RunRecovered()
-	if err != nil {
-		t.Fatalf("RunRecovered: %v", err)
-	}
-	if recovered != 1 {
-		t.Fatalf("recovered = %d, want 1", recovered)
-	}
-	st := k.Crash.Stats()
-	if st.ScopedRecoveries != 0 || st.WidenedRecoveries != 1 {
-		t.Errorf("crash stats = %+v, want 1 widened recovery", st)
-	}
-	wevs := k.Trace.Filter(trace.RecoveryWidened)
-	if len(wevs) != 1 || !strings.Contains(wevs[0].Detail, "cross-domain writes") {
-		t.Errorf("widened events = %v, want cross-domain writes reason", wevs)
-	}
-	if at := k.Clock.Now(); at != cpAt {
-		t.Errorf("clock = %v, want rewind to checkpoint at %v", at, cpAt)
-	}
-	k.Faults.DisableCrash()
-	k.SpawnProcess("reader", graft.Root, func(p *kernel.Process) {
-		if b := readByte(t, fsys, p.Thread, "shared"); b != 0x11 {
-			t.Errorf("shared = %#x, want checkpoint image 0x11", b)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("reader: %v", err)
 	}
 }
 
@@ -305,9 +225,8 @@ func TestScopedRecoveryWidensOnEntangledLock(t *testing.T) {
 }
 
 // TestScopedRecoveryChain: two scoped recoveries back to back across
-// different domains, restoring against the same consolidated base.
-// Each offender's stamped block reverts; the survivor's write and the
-// other domain's history are untouched by either restore.
+// different domains, against the same checkpoint. The survivor's write
+// is untouched by either recovery.
 func TestScopedRecoveryChain(t *testing.T) {
 	k := kernel.New(kernel.Config{
 		ZeroTxnCosts:    true,
@@ -319,13 +238,9 @@ func TestScopedRecoveryChain(t *testing.T) {
 	offAPt := domPoint(k, "offa.fn")
 	offBPt := domPoint(k, "offb.fn")
 	fsys := vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), 256)
-	for _, n := range []string{"surv-data", "offa-data", "offb-data"} {
-		fsys.Create(n, 4*vfs.BlockSize, graft.Root, false)
-	}
+	fsys.Create("surv-data", 4*vfs.BlockSize, graft.Root, false)
 	k.SpawnProcess("prefill", graft.Root, func(p *kernel.Process) {
 		writeByte(t, fsys, p.Thread, "surv-data", 0x11)
-		writeByte(t, fsys, p.Thread, "offa-data", 0x22)
-		writeByte(t, fsys, p.Thread, "offb-data", 0x33)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("prefill: %v", err)
@@ -346,35 +261,26 @@ func TestScopedRecoveryChain(t *testing.T) {
 		t.Fatalf("phase 1: recovered %d, err %v", n, err)
 	}
 
-	// Phase 2: offender A dirties its domain and panics (dispatch 2).
+	// Phase 2: offender A panics (dispatch 2).
 	k.SpawnProcess("offa", graft.Root, func(p *kernel.Process) {
-		th := p.Thread
-		g, err := p.BuildAndInstall("offa.fn", domOkSrc, graft.InstallOptions{})
-		if err != nil {
+		if _, err := p.BuildAndInstall("offa.fn", domOkSrc, graft.InstallOptions{}); err != nil {
 			t.Errorf("install offa: %v", err)
 			return
 		}
-		prev := crash.SetOwner(th, g.GuardKey())
-		writeByte(t, fsys, th, "offa-data", 0xAA)
-		crash.SetOwner(th, prev)
-		offAPt.Invoke(th)
+		offAPt.Invoke(p.Thread)
 	})
 	if n, err := k.RunRecovered(); err != nil || n != 1 {
 		t.Fatalf("phase 2: recovered %d, err %v", n, err)
 	}
 
-	// Phase 3: offender B dirties its domain, commits once (dispatch 3)
-	// and panics on the next dispatch (4) — a restore after a restore.
+	// Phase 3: offender B commits once (dispatch 3) and panics on the
+	// next dispatch (4) — a scoped recovery after a scoped recovery.
 	k.SpawnProcess("offb", graft.Root, func(p *kernel.Process) {
 		th := p.Thread
-		g, err := p.BuildAndInstall("offb.fn", domOkSrc, graft.InstallOptions{})
-		if err != nil {
+		if _, err := p.BuildAndInstall("offb.fn", domOkSrc, graft.InstallOptions{}); err != nil {
 			t.Errorf("install offb: %v", err)
 			return
 		}
-		prev := crash.SetOwner(th, g.GuardKey())
-		writeByte(t, fsys, th, "offb-data", 0xBB)
-		crash.SetOwner(th, prev)
 		offBPt.Invoke(th)
 		offBPt.Invoke(th)
 	})
@@ -395,15 +301,8 @@ func TestScopedRecoveryChain(t *testing.T) {
 	}
 	k.Faults.DisableCrash()
 	k.SpawnProcess("reader", graft.Root, func(p *kernel.Process) {
-		th := p.Thread
-		if b := readByte(t, fsys, th, "surv-data"); b != 0x5A {
+		if b := readByte(t, fsys, p.Thread, "surv-data"); b != 0x5A {
 			t.Errorf("surv-data = %#x, want survivor write 0x5a", b)
-		}
-		if b := readByte(t, fsys, th, "offa-data"); b != 0x22 {
-			t.Errorf("offa-data = %#x, want checkpoint image 0x22", b)
-		}
-		if b := readByte(t, fsys, th, "offb-data"); b != 0x33 {
-			t.Errorf("offb-data = %#x, want checkpoint image 0x33", b)
 		}
 	})
 	if err := k.Run(); err != nil {

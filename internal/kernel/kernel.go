@@ -78,11 +78,12 @@ type Config struct {
 	// RecoverScope selects what a contained kernel panic rolls back:
 	// RecoverScopeKernel (the default, and the zero value) restores the
 	// whole checkpoint image and rewinds virtual time; RecoverScopeGraft
-	// reverts only the offending graft's rollback domain — its
-	// transactions, locks and owner-stamped fs/vmm state — leaving other
-	// grafts' in-flight work live, widening back to a whole-kernel
-	// restore when cross-domain entanglement is detected. Crash-free
-	// runs are byte-identical under either scope.
+	// rolls back only the offending graft's rollback domain — its
+	// orphaned transaction and its thread's locks — leaving other
+	// grafts' work live and virtual time unrewound, widening back to a
+	// whole-kernel restore when scoping would be unsound (no offending
+	// graft or thread, an older taint, a shared lock). Crash-free runs
+	// are byte-identical under either scope.
 	RecoverScope string
 	// CheckpointDir, when non-empty, persists the checkpoint ring to
 	// disk (one gob-encoded manifest per checkpoint, exponential-age
@@ -446,9 +447,11 @@ func (k *Kernel) recoverFromPanic(cp *crash.Panic) {
 }
 
 // recoverDomain attempts a domain-scoped recovery: roll back only the
-// offending graft's rollback domain — its in-flight transactions, held
-// locks and owner-stamped fs/vmm state — leaving every other thread's
-// work live and virtual time unrewound. It returns false (after tracing
+// offending graft's rollback domain — its orphaned transaction and the
+// locks its thread holds — leaving every other thread's work live and
+// virtual time unrewound. Every graft-visible change went through an
+// accessor that pushed its undo onto that transaction (§3.1), so the
+// orphan abort reverts all of it. It returns false (after tracing
 // recovery-widened) when a scoped rollback would be unsound, sending
 // the caller down the classic whole-kernel path. The widening checks
 // run before any state is touched, so widening composes with the
@@ -465,8 +468,8 @@ func (k *Kernel) recoverDomain(cp *crash.Panic, dead *sched.Thread, crashedAt ti
 		return widen("no offending graft")
 	}
 	if cp.TaintedAt > 0 {
-		// Delayed detection: the damage predates the checkpoint a scoped
-		// restore would revert to, so scoping cannot excise it.
+		// Delayed detection: the damage predates the newest checkpoint,
+		// so unwinding the offender's transaction cannot excise it.
 		return widen(fmt.Sprintf("corruption predates checkpoint (tainted at %v)", cp.TaintedAt))
 	}
 	if dead == nil {
@@ -475,36 +478,31 @@ func (k *Kernel) recoverDomain(cp *crash.Panic, dead *sched.Thread, crashedAt ti
 	if locks := k.Locks.Entangled(dead); len(locks) > 0 {
 		return widen("cross-graft lock held: " + strings.Join(locks, ", "))
 	}
-	if conflicts := k.Crash.DomainConflicts(cp.Graft); len(conflicts) > 0 {
-		return widen("cross-domain writes: " + strings.Join(conflicts, "; "))
-	}
 	// Sound to scope: unwind the offender's transaction stack (undo
-	// records run, its locks release), purge any remaining lock state of
-	// the dead thread, then revert its owner-stamped fs/vmm writes to
-	// the consolidated checkpoint image.
+	// records run, its locks release), then purge any remaining lock
+	// state of the dead thread. The ring keeps only its newest entry,
+	// the base a later whole-kernel restore would replay.
 	aborted := k.Txns.AbortOrphan(dead)
 	k.Locks.PurgeThread(dead)
-	at, bytes, ok := k.Crash.RestoreDomain(cp.Graft)
+	at, ok := k.Crash.KeepNewest()
 	if !ok {
 		// Unreachable in practice: RunRecovered only recovers with a
 		// checkpoint in hand.
 		return widen("no checkpoint image")
 	}
-	// Blame: the same ledger axes as a whole-kernel recovery, plus the
-	// reverted payload. The offender is always removed — its heap died
-	// mid-dispatch and is not restored by a scoped rollback — but the
-	// guard ledger survives, so repeat offenders escalate across
-	// reinstalls exactly as before.
+	// Blame: the same ledger axes as a whole-kernel recovery. The
+	// offender is always removed — its heap died mid-dispatch and is
+	// not restored by a scoped rollback — but the guard ledger
+	// survives, so repeat offenders escalate across reinstalls exactly
+	// as before.
 	if k.Guard != nil {
 		k.Guard.RecordAbort(cp.Graft, txn.ClassifyPanicCause(cp.Class), 0)
-		k.Guard.RecordDomainRecovery(cp.Graft, crashedAt-at, bytes)
+		k.Guard.RecordRecovery(cp.Graft, crashedAt-at)
 	}
 	k.Grafts.RemoveGuardKey(cp.Graft)
-	k.Crash.RecordScopedRecovery(bytes)
-	k.Trace.Emit(at, trace.DomainCheckpoint, "crash",
-		fmt.Sprintf("consolidated base for %s", cp.Graft))
+	k.Crash.RecordScopedRecovery()
 	k.Trace.Emit(crashedAt, trace.DomainRestore, cp.Graft,
-		fmt.Sprintf("reverted %d bytes, %d txn levels, base %v behind", bytes, aborted, crashedAt-at))
+		fmt.Sprintf("%d txn levels, base %v behind", aborted, crashedAt-at))
 	return true
 }
 
@@ -603,13 +601,18 @@ func (k *Kernel) registerBaseCallables() {
 		}
 		return acct.Used(resource.KernelHeap), nil
 	})
-	// vino.kheap_free(n): return kernel heap.
+	// vino.kheap_free(n): return kernel heap. Freeing more than the
+	// billed account has in use is a bad argument (§3.3), so the
+	// release never clamps and the undo restores exactly what it freed.
 	k.Grafts.RegisterCallable("vino.kheap_free", func(ctx *graft.Ctx, args [5]int64) (int64, error) {
 		n := args[0]
 		if n <= 0 {
 			return 0, fmt.Errorf("kheap_free: bad size %d", n)
 		}
 		acct := ctx.Account()
+		if used := acct.Billed().Used(resource.KernelHeap); n > used {
+			return 0, fmt.Errorf("kheap_free: %d bytes, only %d in use", n, used)
+		}
 		// Crash site: a kernel panic between validation and the balance
 		// update models resource-bookkeeping corruption.
 		k.Faults.MaybeCrash(crash.SiteResource, "")

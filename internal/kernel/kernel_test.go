@@ -173,6 +173,60 @@ main:
 	}
 }
 
+// TestKheapFreeBeyondUsageRejected: freeing more kernel heap than the
+// billed account has in use is a bad argument (§3.3), so the release
+// never clamps and the abort leaves the account exactly as it found it.
+// Both transfers matter: with 1000 bytes a clamped release's undo
+// re-charges the full request, with 300 that re-charge fails.
+func TestKheapFreeBeyondUsageRejected(t *testing.T) {
+	for _, transfer := range []int64{1000, 300} {
+		k := newTestKernel()
+		p := k.Grafts.RegisterPoint(&graft.Point{
+			Name:    "obj.fn",
+			Kind:    graft.Function,
+			Default: func(t *sched.Thread, args []int64) (int64, error) { return -1, nil },
+		})
+		var g *graft.Installed
+		var invokeErr error
+		k.SpawnProcess("app", 7, func(proc *Process) {
+			var err error
+			g, err = proc.BuildAndInstall("obj.fn", `
+.name overfree-then-trap
+.import vino.kheap_alloc
+.import vino.kheap_free
+.func main
+main:
+    movi r1, 100
+    callk vino.kheap_alloc
+    movi r1, 500
+    callk vino.kheap_free
+    movi r2, 0
+    div r0, r1, r2
+    ret
+`, graft.InstallOptions{
+				Transfer: map[resource.Kind]int64{resource.KernelHeap: transfer},
+			})
+			if err != nil {
+				t.Errorf("install: %v", err)
+				return
+			}
+			_, invokeErr = p.Invoke(proc.Thread)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			continue
+		}
+		if invokeErr == nil || !strings.Contains(invokeErr.Error(), "kheap_free") {
+			t.Errorf("transfer %d: Invoke error = %v, want the over-release rejected", transfer, invokeErr)
+		}
+		if used := g.Account.Used(resource.KernelHeap); used != 0 {
+			t.Errorf("transfer %d: graft account used = %d after abort, want 0", transfer, used)
+		}
+	}
+}
+
 // TestScheduleDelegation wires a GIR delegate graft that always returns
 // the server's thread ID, and checks the server gets the client's
 // timeslices (the paper's database client/server scenario, §4.3).

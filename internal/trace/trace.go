@@ -42,14 +42,12 @@ const (
 	Checkpoint  Kind = "checkpoint"
 	Recovery    Kind = "recovery"
 	Deadlock    Kind = "deadlock"
-	// Per-graft rollback domains: a scoped recovery consolidates the
-	// checkpoint ring into a domain-restore base (domain-checkpoint),
-	// reverts only the offender's owner-stamped state (domain-restore),
-	// or detects cross-domain entanglement and falls back to the
-	// whole-kernel restore (recovery-widened).
-	DomainCheckpoint Kind = "domain-checkpoint"
-	DomainRestore    Kind = "domain-restore"
-	RecoveryWidened  Kind = "recovery-widened"
+	// Per-graft rollback domains: a scoped recovery unwinds only the
+	// offender's transaction and locks (domain-restore), or finds
+	// scoping unsound and falls back to the whole-kernel restore
+	// (recovery-widened).
+	DomainRestore   Kind = "domain-restore"
+	RecoveryWidened Kind = "recovery-widened"
 
 	// Multi-tenant escalation: a tenant whose grafts keep getting
 	// expelled is throttled (a deterministic share of its traffic shed),

@@ -6,8 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
-
-	"vino/internal/resource"
 )
 
 // Crash checkpoint/restore for the VM system. Page tables, residency,
@@ -88,8 +86,6 @@ func (v *VMM) CrashRestore(snap any) {
 			f := vs.flags[vpn]
 			p.resident, p.wired, p.referenced, p.dirty = f.resident, f.wired, f.referenced, f.dirty
 			p.elem = nil
-			// Owner stamps rewind: every domain was reverted at once.
-			p.owner, p.writeGen = "", 0
 			vas.pages[vpn] = p
 		}
 		vas.mappings = append([]mapping(nil), vs.mappings...)
@@ -104,7 +100,6 @@ func (v *VMM) CrashRestore(snap any) {
 	v.nextVAS = s.nextVAS
 	v.stats = s.stats
 	v.lastEvicted = s.lastEvicted
-	v.ownerConflicts = nil
 }
 
 // vmmExport is the VM system's durable image. Address spaces are bound
@@ -135,139 +130,6 @@ func (v *VMM) CrashImport(data []byte) error {
 		v.nextVAS = e.NextVAS
 	}
 	return nil
-}
-
-func ownerName(o string) string {
-	if o == "" {
-		return "kernel"
-	}
-	return o
-}
-
-// CrashOwnerConflicts implements crash.DomainScoper: pages where owner
-// and another domain both stored after sinceGen. Conflicts where either
-// store predates the checkpoint are moot — the older store is already
-// durable in the image.
-func (v *VMM) CrashOwnerConflicts(sinceGen uint64, owner string) []string {
-	var out []string
-	for _, c := range v.ownerConflicts {
-		if c.gen <= sinceGen || c.prevGen <= sinceGen {
-			continue
-		}
-		if c.owner != owner && c.prevOwner != owner {
-			continue
-		}
-		out = append(out, fmt.Sprintf("vas/%d vpn %d: %s overwrote %s",
-			c.vasID, c.vpn, ownerName(c.owner), ownerName(c.prevOwner)))
-	}
-	return out
-}
-
-// dropPage removes a resident page from the frame pool without the
-// eviction ceremony (no write-back charge, no eviction stats or trace):
-// domain recovery is rewinding state, not simulating page-outs.
-func (v *VMM) dropPage(p *Page) {
-	if !p.resident {
-		return
-	}
-	if p.elem != nil {
-		v.globalQueue.Remove(p.elem)
-		p.elem = nil
-	}
-	v.usedFrames--
-	if p.vas.acct != nil {
-		p.vas.acct.Release(resource.Memory, PageSize)
-		if p.wired {
-			p.vas.acct.Release(resource.WiredMemory, PageSize)
-		}
-	}
-	p.resident = false
-}
-
-// CrashRestoreDomain implements crash.DomainScoper: pages the offender
-// stored to after sinceGen revert to their flags in snap (queue and
-// frame accounting adjusted to match); pages and address spaces the
-// offender created after the checkpoint are removed. Other domains'
-// pages — and spaces the base domain destroyed after the checkpoint,
-// whose teardown is durable — stay exactly as they are.
-func (v *VMM) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 {
-	s := snap.(*vmmSnap)
-	var bytes int64
-	ids := make([]int, 0, len(v.spaces))
-	for id := range v.spaces {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		vas := v.spaces[id]
-		if vas.crashOwner == owner && owner != "" && vas.genCreated > sinceGen {
-			// Offender-created space: tear it down raw (frames freed,
-			// graft point dropped) — it did not exist at the checkpoint.
-			vpns := make([]int64, 0, len(vas.pages))
-			for vpn := range vas.pages {
-				vpns = append(vpns, vpn)
-			}
-			sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-			for _, vpn := range vpns {
-				v.dropPage(vas.pages[vpn])
-				bytes += PageSize
-			}
-			v.k.Grafts.UnregisterPoint(vas.evictPoint.Name)
-			delete(v.spaces, id)
-			continue
-		}
-		vs := s.spaces[id]
-		vpns := make([]int64, 0, len(vas.pages))
-		for vpn, p := range vas.pages {
-			if p.owner == owner && p.writeGen > sinceGen {
-				vpns = append(vpns, vpn)
-			}
-		}
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-		for _, vpn := range vpns {
-			p := vas.pages[vpn]
-			var f pageFlags
-			inSnap := false
-			if vs != nil {
-				f, inSnap = vs.flags[vpn]
-			}
-			if !inSnap {
-				// The offender's store created this page after the
-				// checkpoint: it vanishes.
-				v.dropPage(p)
-				delete(vas.pages, vpn)
-				bytes += PageSize
-				continue
-			}
-			if p.resident && !f.resident {
-				v.dropPage(p)
-			} else if !p.resident && f.resident {
-				// Re-admit at the cold end of the global queue; the exact
-				// LRU position at checkpoint time is not part of the
-				// domain image. The frame charge is forced (oversubscribe
-				// rather than fail a rollback).
-				p.resident = true
-				p.elem = v.globalQueue.PushBack(p)
-				v.usedFrames++
-				if vas.acct != nil {
-					_ = vas.acct.Charge(resource.Memory, PageSize)
-					if f.wired {
-						_ = vas.acct.Charge(resource.WiredMemory, PageSize)
-					}
-				}
-			} else if vas.acct != nil && p.wired != f.wired {
-				if f.wired {
-					_ = vas.acct.Charge(resource.WiredMemory, PageSize)
-				} else {
-					vas.acct.Release(resource.WiredMemory, PageSize)
-				}
-			}
-			p.resident, p.wired, p.referenced, p.dirty = f.resident, f.wired, f.referenced, f.dirty
-			p.owner, p.writeGen = "", 0
-			bytes += PageSize
-		}
-	}
-	return bytes
 }
 
 // CrashAudit implements crash.Auditor. The VM system's structural

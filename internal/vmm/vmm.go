@@ -63,20 +63,6 @@ type VMM struct {
 	spaces           map[int]*VAS
 	nextVAS          int
 	stats            Stats
-
-	// ownerConflicts records cross-owner page stores for the
-	// rollback-domain widening check (see CrashOwnerConflicts). Cleared
-	// on whole-kernel restore.
-	ownerConflicts []ownerConflict
-}
-
-// ownerConflict is one cross-owner store to a page: owner wrote at gen
-// over prevOwner's store at prevGen.
-type ownerConflict struct {
-	vasID            int
-	vpn              int64
-	prevGen, gen     uint64
-	prevOwner, owner string
 }
 
 // Stats counts VM events machine-wide.
@@ -130,21 +116,6 @@ type Page struct {
 	referenced bool
 	dirty      bool
 	elem       *list.Element
-
-	// Rollback-domain owner stamp: the domain whose store last dirtied
-	// the page, and the generation of that store. Reads do not stamp —
-	// domain recovery reverts only the offender's writes.
-	owner    string
-	writeGen uint64
-}
-
-// crashGen returns the crash manager's current generation for the
-// rollback-domain stamps, or zero when checkpoints are off.
-func (v *VMM) crashGen() uint64 {
-	if v.k != nil && v.k.Crash != nil {
-		return v.k.Crash.Gen()
-	}
-	return 0
 }
 
 // Dirty reports whether the page has been written since it was last
@@ -172,15 +143,6 @@ type VAS struct {
 	listLock   *lock.Lock
 	mappings   []mapping
 
-	// genCreated is the crash-manager generation at which the space
-	// was created: a domain-scoped restore removes a space its
-	// offender created after the checkpoint.
-	genCreated uint64
-
-	// crashOwner is the rollback domain that created the space ("" for
-	// the shared base domain).
-	crashOwner string
-
 	// Per-space stats.
 	Faults    int64
 	Evictions int64
@@ -198,13 +160,11 @@ var pageListClass = &lock.Class{
 func (v *VMM) NewVAS(t *sched.Thread) *VAS {
 	v.nextVAS++
 	vas := &VAS{
-		id:         v.nextVAS,
-		owner:      graft.ThreadUID(t),
-		acct:       graft.ThreadAccount(t),
-		vmm:        v,
-		pages:      make(map[int64]*Page),
-		genCreated: v.crashGen(),
-		crashOwner: crash.Owner(t),
+		id:    v.nextVAS,
+		owner: graft.ThreadUID(t),
+		acct:  graft.ThreadAccount(t),
+		vmm:   v,
+		pages: make(map[int64]*Page),
 	}
 	vas.listLock = v.k.Locks.NewLock(fmt.Sprintf("vas/%d.pagelist", v.nextVAS), pageListClass)
 	vas.evictPoint = v.k.Grafts.RegisterPoint(&graft.Point{
@@ -362,25 +322,10 @@ func (vas *VAS) TouchErr(t *sched.Thread, vpn int64) error {
 }
 
 // TouchWrite is Touch for a store: the page is additionally marked
-// dirty, so its eventual eviction pays a write-back. Stores also carry
-// the rollback-domain owner stamp; a store over another live domain's
-// post-checkpoint store is recorded as a cross-owner conflict.
+// dirty, so its eventual eviction pays a write-back.
 func (vas *VAS) TouchWrite(t *sched.Thread, vpn int64) {
 	vas.Touch(t, vpn)
-	p := vas.Page(vpn)
-	p.dirty = true
-	if g := vas.vmm.crashGen(); g != 0 {
-		owner := crash.Owner(t)
-		if p.writeGen != 0 && p.owner != owner {
-			vas.vmm.ownerConflicts = append(vas.vmm.ownerConflicts, ownerConflict{
-				vasID: vas.id, vpn: vpn,
-				prevGen: p.writeGen, gen: g,
-				prevOwner: p.owner, owner: owner,
-			})
-		}
-		p.owner = owner
-		p.writeGen = g
-	}
+	vas.Page(vpn).dirty = true
 }
 
 // Wire pins a page in memory (it must be resident), charging the wired
