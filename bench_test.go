@@ -119,7 +119,7 @@ func BenchmarkTable7Abort(b *testing.B) {
 						tx.AcquireLock(l, lock.Exclusive)
 					}
 					for j := 0; j < c.undos; j++ {
-						tx.PushUndo("x", func() { x++ })
+						tx.PushUndo("x", func(int64) { x++ }, 0)
 					}
 					if c.abort {
 						tx.Abort()

@@ -168,7 +168,8 @@ func (m *Manager) compactDisk(newest int64) {
 // is cleared: the kernel resets the clock to the returned time, and the
 // kernel's own caller takes the first checkpoint of the imported state
 // once that state is whole. Subsystems without an Exporter keep their
-// freshly initialised state, as after a reboot.
+// freshly initialised state, as after a reboot. A manifest that lacks
+// a registered exporter's payload is an error, and nothing is imported.
 func (m *Manager) RestoreFromDisk() (time.Duration, error) {
 	if m.persistDir == "" {
 		return 0, fmt.Errorf("crash: no persist directory configured")
@@ -180,24 +181,28 @@ func (m *Manager) RestoreFromDisk() (time.Duration, error) {
 	if len(seqs) == 0 {
 		return 0, fmt.Errorf("crash: no persisted checkpoints in %s", m.persistDir)
 	}
-	data, err := os.ReadFile(m.manifestPath(seqs[len(seqs)-1]))
+	seq := seqs[len(seqs)-1]
+	data, err := os.ReadFile(m.manifestPath(seq))
 	if err != nil {
 		return 0, err
 	}
 	var man diskManifest
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&man); err != nil {
-		return 0, fmt.Errorf("crash: decode checkpoint %d: %w", seqs[len(seqs)-1], err)
+		return 0, fmt.Errorf("crash: decode checkpoint %d: %w", seq, err)
 	}
+	// Every exporter needs its payload before any imports: one restored
+	// fresh beside the others (an empty file system) is not a restore.
+	var exporters []Exporter
 	for _, s := range m.subs {
-		e, ok := s.(Exporter)
-		if !ok {
-			continue
+		if e, ok := s.(Exporter); ok {
+			if _, ok := man.Subs[e.CrashName()]; !ok {
+				return 0, fmt.Errorf("crash: checkpoint %d has no %s payload", seq, e.CrashName())
+			}
+			exporters = append(exporters, e)
 		}
-		sub, ok := man.Subs[e.CrashName()]
-		if !ok {
-			continue
-		}
-		if err := e.CrashImport(sub); err != nil {
+	}
+	for _, e := range exporters {
+		if err := e.CrashImport(man.Subs[e.CrashName()]); err != nil {
 			return 0, fmt.Errorf("crash: import %s: %w", e.CrashName(), err)
 		}
 	}

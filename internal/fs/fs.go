@@ -9,6 +9,7 @@ import (
 	"vino/internal/kernel"
 	"vino/internal/lock"
 	"vino/internal/sched"
+	"vino/internal/txn"
 )
 
 // Errors returned by the file system.
@@ -153,7 +154,8 @@ type OpenFile struct {
 	raPoint     *graft.Point
 	filterPoint *graft.Point
 	lock        *lock.Lock
-	queue       []int64 // block numbers awaiting prefetch
+	queue       []int64       // block numbers awaiting prefetch
+	unqueue     func(b int64) // dequeue, bound once: the prefetch undo
 	closed      bool
 
 	lastOff, lastLen int64
@@ -188,6 +190,7 @@ func (fs *FS) Open(t *sched.Thread, name string) (*OpenFile, error) {
 		RAWindow: 1,
 		lock:     fs.k.Locks.NewLock(fmt.Sprintf("file/%d", fs.nextFD), fs.openFileLockClass),
 	}
+	of.unqueue = of.dequeue
 	of.raPoint = fs.k.Grafts.RegisterPoint(&graft.Point{
 		Name:      fmt.Sprintf("file/%d.compute-ra", of.fd),
 		Kind:      graft.Function,
@@ -321,7 +324,7 @@ func (of *OpenFile) DefaultComputeRA(off, size int64) int64 {
 // is non-nil (a graft is running) the enqueue is transactional: abort
 // removes it. Returns false if the block is already resident, queued or
 // the queue is full.
-func (of *OpenFile) enqueuePrefetch(b int64, undo func(fn func())) bool {
+func (of *OpenFile) enqueuePrefetch(b int64, tx *txn.Txn) bool {
 	if b < 0 || b >= of.file.Blocks() {
 		return false
 	}
@@ -341,17 +344,20 @@ func (of *OpenFile) enqueuePrefetch(b int64, undo func(fn func())) bool {
 	of.queue = append(of.queue, b)
 	of.fs.stats.PrefetchQueued++
 	of.PrefetchQueued++
-	if undo != nil {
-		undo(func() {
-			for i, q := range of.queue {
-				if q == b {
-					of.queue = append(of.queue[:i], of.queue[i+1:]...)
-					break
-				}
-			}
-		})
+	if tx != nil {
+		tx.PushUndo("fs.prefetch", of.unqueue, b)
 	}
 	return true
+}
+
+// dequeue removes block b from the prefetch queue.
+func (of *OpenFile) dequeue(b int64) {
+	for i, q := range of.queue {
+		if q == b {
+			of.queue = append(of.queue[:i], of.queue[i+1:]...)
+			break
+		}
+	}
 }
 
 // ResetPrefetchQueue discards queued prefetches. Measurement-harness
@@ -565,12 +571,7 @@ func (fs *FS) registerCallables() {
 		last := min((off+size-1)/BlockSize, of.file.Blocks()-1)
 		queued := int64(0)
 		for b := first; b <= last; b++ {
-			undo := func(fn func()) {
-				if ctx.Txn != nil {
-					ctx.Txn.PushUndo("fs.prefetch", fn)
-				}
-			}
-			if of.enqueuePrefetch(b, undo) {
+			if of.enqueuePrefetch(b, ctx.Txn) {
 				queued++
 			}
 		}

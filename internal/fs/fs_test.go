@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vino/internal/graft"
+	"vino/internal/guard"
 	"vino/internal/kernel"
 	"vino/internal/sched"
 )
@@ -363,6 +364,49 @@ main:
 	if fsys.Stats().PrefetchIssued != 0 {
 		t.Fatalf("aborted prefetches were issued: %d", fsys.Stats().PrefetchIssued)
 	}
+}
+
+// TestReadAheadDispatchAllocatesNothing pins a supervised compute-ra
+// dispatch of a read-ahead graft at zero heap allocations, run the way
+// the dispatch-commit benchmark runs it: guard armed, checkpointing
+// armed, the open-file lock taken under the transaction and two blocks
+// queued, each with its undo record, then committed.
+func TestReadAheadDispatchAllocatesNothing(t *testing.T) {
+	never := guard.Policy{SuspectStreak: 1 << 30, QuarantineStreak: 1 << 30, QuarantinePct: 101}
+	k := kernel.New(kernel.Config{Timeslice: time.Hour, GuardPolicy: &never, CheckpointEvery: time.Hour})
+	fsys := New(k, NewDisk(FujitsuM2694ESA()), 4096)
+	fsys.Create("db", 12<<20, graft.Root, true)
+	runProc(t, k, graft.Root, func(p *kernel.Process) {
+		of, err := fsys.Open(p.Thread, "db")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		g, err := p.BuildAndInstall(of.RAPoint().Name, readAheadGraftSrc, graft.InstallOptions{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		heap := g.VM().Heap()
+		poke64(heap, 0, 100*BlockSize+100) // straddles two blocks
+		poke64(heap, 8, BlockSize)
+		poke64(heap, 16, int64(of.FD()))
+		commits, acqs := k.Txns.Stats().Commits, k.Locks.Stats().Acquisitions
+		var res int64
+		allocs := testing.AllocsPerRun(100, func() {
+			of.ResetPrefetchQueue()
+			res, err = of.RAPoint().Invoke(p.Thread, 0, BlockSize)
+		})
+		if err != nil || res != 2 {
+			t.Errorf("dispatch = %d, %v; want 2 blocks queued", res, err)
+		}
+		if c, a := k.Txns.Stats().Commits-commits, k.Locks.Stats().Acquisitions-acqs; c != 101 || a != 101 {
+			t.Errorf("%d commits and %d lock acquisitions over 101 dispatches, want one each per dispatch", c, a)
+		}
+		if allocs != 0 {
+			t.Errorf("%v allocations per read-ahead dispatch, want 0", allocs)
+		}
+	})
 }
 
 // TestGreedyGraftBoundedByGlobalPolicy: a graft requesting an enormous

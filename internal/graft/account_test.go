@@ -26,7 +26,7 @@ func registerAlloc(e *env) {
 			return 0, err
 		}
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("alloc", func() { acct.Release(resource.KernelHeap, n) })
+			ctx.Txn.PushUndo("alloc", func(int64) { acct.Release(resource.KernelHeap, n) }, 0)
 		}
 		return 0, nil
 	})

@@ -46,33 +46,19 @@ type UID int
 // to halt the system, install new drivers, build a new kernel", §2.3).
 const Root UID = 0
 
-// Thread-local keys for process identity, shared with package kernel.
-const (
-	localUID     = "graft.uid"
-	localAccount = "graft.account"
-)
-
 // SetThreadIdentity binds a user and resource account to a thread.
 func SetThreadIdentity(t *sched.Thread, uid UID, acct *resource.Account) {
-	t.SetLocal(localUID, uid)
-	t.SetLocal(localAccount, acct)
+	t.SetUID(int(uid))
+	t.SetAccount(acct)
 }
 
 // ThreadUID returns the thread's user identity (Root if unset —
 // kernel-internal threads are privileged).
-func ThreadUID(t *sched.Thread) UID {
-	if v, ok := t.Local(localUID).(UID); ok {
-		return v
-	}
-	return Root
-}
+func ThreadUID(t *sched.Thread) UID { return UID(t.UID()) }
 
 // ThreadAccount returns the thread's active resource account, or nil for
 // kernel-internal threads (which are unaccounted).
-func ThreadAccount(t *sched.Thread) *resource.Account {
-	a, _ := t.Local(localAccount).(*resource.Account)
-	return a
-}
+func ThreadAccount(t *sched.Thread) *resource.Account { return t.Account() }
 
 // Privilege classifies who may graft a point.
 type Privilege int
@@ -138,7 +124,8 @@ var (
 // Ctx is the execution context a graft-callable kernel function
 // receives: the invoking thread, the graft's transaction, the installed
 // graft (for its account and owner identity) and the VM (for access to
-// the graft heap).
+// the graft heap). The Ctx belongs to the dispatch and is reused by its
+// next kernel call, so a callable may not keep it past its return.
 type Ctx struct {
 	Thread *sched.Thread
 	Txn    *txn.Txn
@@ -253,9 +240,10 @@ type Installed struct {
 	Point   *Point
 	Order   int // event-handler ordering, lower first
 
-	vm        *sfi.VM
-	curThread *sched.Thread
-	removed   bool
+	key     string // the guard key, computed once at load
+	vm      *sfi.VM
+	cur     *frame // the dispatch running the graft's code, nil when idle
+	removed bool
 	// grantMark remembers the last grant-audit counters reported to the
 	// supervisor, per region, so each dispatch contributes only its
 	// delta to the health ledger.
@@ -269,7 +257,7 @@ func (g *Installed) VM() *sfi.VM { return g.vm }
 // GuardKey identifies the graft to the supervisor: "<point>#<image>".
 // Reinstalls of the same image at the same point share one ledger
 // entry, so misbehavior history survives remove/reinstall cycles.
-func (g *Installed) GuardKey() string { return guardKey(g.Point.Name, g.Image.Name) }
+func (g *Installed) GuardKey() string { return g.key }
 
 func guardKey(pointName, imageName string) string { return pointName + "#" + imageName }
 

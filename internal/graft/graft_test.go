@@ -343,7 +343,7 @@ func TestResourceLimitAbortsGreedyGraft(t *testing.T) {
 			return 0, err
 		}
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("alloc", func() { acct.Release(resource.KernelHeap, n) })
+			ctx.Txn.PushUndo("alloc", func(int64) { acct.Release(resource.KernelHeap, n) }, 0)
 		}
 		return 0, nil
 	})
@@ -436,7 +436,7 @@ func TestAbortUndoesKernelStateChanges(t *testing.T) {
 		old := kernelState
 		kernelState = int(args[0])
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("set_state", func() { kernelState = old })
+			ctx.Txn.PushUndo("set_state", func(int64) { kernelState = old }, 0)
 		}
 		return 0, nil
 	})

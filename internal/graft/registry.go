@@ -3,7 +3,6 @@ package graft
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -107,7 +106,9 @@ type Registry struct {
 	// reinstall with different code can never be paired with a stale
 	// program — sfi.NewVM re-checks the key on top of that).
 	transCache map[string]*sfi.Program
-	stats      Stats
+	// frames holds call frames for reuse (see frame).
+	frames []*frame
+	stats  Stats
 }
 
 // emit records a trace event at the current virtual time.
@@ -270,7 +271,8 @@ func (r *Registry) load(p *Point, img *sfi.Image, owner UID, installer *resource
 // rejected install leaves every account, billing target and the
 // registry as it found them.
 func (r *Registry) check(p *Point, img *sfi.Image, owner UID, installer *resource.Account, opts InstallOptions) (*Installed, error) {
-	if sup := r.Supervisor; sup != nil && sup.Barred(guardKey(p.Name, img.Name)) {
+	key := guardKey(p.Name, img.Name)
+	if sup := r.Supervisor; sup != nil && sup.Barred(key) {
 		return nil, fmt.Errorf("%w: image %q at %q", ErrExpelled, img.Name, p.Name)
 	}
 	if p.Privilege == Restricted {
@@ -314,6 +316,7 @@ func (r *Registry) check(p *Point, img *sfi.Image, owner UID, installer *resourc
 		Account: acct,
 		Point:   p,
 		Order:   opts.Order,
+		key:     key,
 	}
 	if err := r.link(g); err != nil {
 		return nil, err
@@ -349,8 +352,10 @@ func (r *Registry) link(g *Installed) error {
 		}
 		sym := sym
 		kernelFns[sym] = func(vm *sfi.VM, args [5]int64) (int64, error) {
-			ctx := &Ctx{Thread: g.curThread, Txn: r.txns.Current(g.curThread), Graft: g, VM: vm}
-			res, err := fn(ctx, args)
+			f := g.cur
+			f.ctx = Ctx{Thread: f.t, Txn: r.txns.Current(f.t), Graft: g, VM: vm}
+			res, err := fn(&f.ctx, args)
+			g.cur = f // the callable may have yielded to another dispatch of g
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", sym, err)
 			}
@@ -382,8 +387,9 @@ func (r *Registry) link(g *Installed) error {
 		Kernel:    kernelFns,
 		Program:   prog,
 		Hook: func(cycles int64) {
-			if g.curThread != nil {
-				g.curThread.ChargeCycles(cycles)
+			if f := g.cur; f != nil {
+				f.t.ChargeCycles(cycles)
+				g.cur = f // the charge may have yielded to another dispatch of g
 			}
 		},
 	})
@@ -421,7 +427,7 @@ func (r *Registry) Remove(g *Installed) { r.remove(g) }
 func (r *Registry) RemoveGuardKey(key string) int {
 	var victims []*Installed
 	for g := range r.installed {
-		if g.GuardKey() == key {
+		if g.key == key {
 			victims = append(victims, g)
 		}
 	}
@@ -462,38 +468,104 @@ func (r *Registry) remove(g *Installed) {
 // 9) — and the error return reports the abort reason for diagnostics
 // even though a result is always produced. A graft the supervisor
 // holds in quarantine is answered for by the default without running.
+// Default, Validate, PreGraft and the graft see a copy of args, so the
+// caller's arguments never escape.
 func (p *Point) Invoke(t *sched.Thread, args ...int64) (int64, error) {
 	p.stats.Invocations++
 	if c := p.IndirectionCost; c > 0 {
 		t.Charge(c)
 	}
+	r := p.reg
+	f := r.takeFrame(t, args)
 	var err error
 	if g := p.grafted; g != nil {
-		res, ok, gerr := p.reg.dispatch(t, g, args)
+		res, ok, gerr := r.dispatch(f, g)
 		if ok {
+			r.releaseFrame(f)
 			return res, nil
 		}
 		err = gerr
 	}
 	p.stats.DefaultCalls++
-	res, derr := p.Default(t, args)
+	res, derr := p.Default(t, f.args)
+	r.releaseFrame(f)
 	if derr != nil {
 		return res, derr
 	}
 	return res, err
 }
 
+// frame is one call's working state, reused through the registry's
+// free list so that a dispatch allocates nothing: the copy of the
+// caller's arguments, the Ctx handed to kernel callables and the
+// forward-progress watchdog, whose callback is bound once per frame.
+// The watchdog belongs to the dispatch, never to the installed graft:
+// Point.Trigger can put two workers inside one graft at once.
+type frame struct {
+	r    *Registry
+	t    *sched.Thread
+	args []int64
+	ctx  Ctx
+
+	p    *Point        // the watchdog's point
+	wd   time.Duration // and its period
+	ev   simclock.EventID
+	fire func() // watchdog, bound once
+}
+
+// takeFrame takes a frame for a call on t holding a copy of args. A
+// point that no registry holds gets a fresh frame, never reused.
+func (r *Registry) takeFrame(t *sched.Thread, args []int64) *frame {
+	var f *frame
+	if r != nil && len(r.frames) > 0 {
+		f = r.frames[len(r.frames)-1]
+		r.frames = r.frames[:len(r.frames)-1]
+	} else {
+		f = &frame{r: r}
+		f.fire = f.watchdog
+	}
+	f.t = t
+	f.args = append(f.args[:0], args...)
+	return f
+}
+
+// releaseFrame returns a frame whose call returned normally. A frame that a
+// panic unwinds past is left to the garbage collector.
+func (r *Registry) releaseFrame(f *frame) {
+	if r == nil {
+		return
+	}
+	f.t, f.ctx, f.p = nil, Ctx{}, nil
+	r.frames = append(r.frames, f)
+}
+
+// arm schedules the watchdog to fire wd from now.
+func (f *frame) arm(p *Point, wd time.Duration) {
+	f.p, f.wd = p, wd
+	f.ev = f.r.clock.After(wd, f.fire)
+}
+
+// watchdog is the timer callback. The stub cancels the timer on every
+// way out of the dispatch, so it fires only into a running one.
+func (f *frame) watchdog() {
+	r, p := f.r, f.p
+	r.stats.WatchdogFires++
+	r.emit(trace.WatchdogFire, p.Name, f.wd.String())
+	f.t.RequestAbort(fmt.Errorf("%w: %s after %v", ErrWatchdog, p.Name, f.wd))
+}
+
 // dispatch is the one wrapper around every graft invocation, from
-// Point.Invoke and from Point.Trigger's workers alike. It computes the
-// guard key once, asks the supervisor (when armed) to admit the call —
-// a blocked call returns without running the graft — runs the graft
-// through the §3.1 stub, reports the outcome to the supervisor, and
-// after a failed dispatch makes the one removal decision: the
-// supervisor's expel verdict, or with no supervisor, forcible removal
-// on the first abort unless the point sets KeepOnAbort. ok reports
-// that res is the graft's own, validated answer.
-func (r *Registry) dispatch(t *sched.Thread, g *Installed, args []int64) (res int64, ok bool, err error) {
-	key := g.GuardKey()
+// Point.Invoke and from Point.Trigger's workers alike. It asks the
+// supervisor (when armed) to admit the call under the guard key
+// computed at install — a blocked call returns without running the
+// graft — runs the graft through the §3.1 stub, reports the outcome to
+// the supervisor, and after a failed dispatch makes the one removal
+// decision: the supervisor's expel verdict, or with no supervisor,
+// forcible removal on the first abort unless the point sets
+// KeepOnAbort. ok reports that res is the graft's own, validated
+// answer.
+func (r *Registry) dispatch(f *frame, g *Installed) (res int64, ok bool, err error) {
+	key := g.key
 	sup := r.Supervisor
 	probation := false
 	if sup != nil {
@@ -520,7 +592,7 @@ func (r *Registry) dispatch(t *sched.Thread, g *Installed, args []int64) (res in
 		defer r.harvestGrantAudit(g, key)
 	}
 	undoBefore := r.txns.Stats().UndoPanics
-	res, err = r.stub(t, g, key, probation, args)
+	res, cause, err := r.stub(f, g, probation)
 	remove := err != nil && !p.KeepOnAbort
 	if sup != nil {
 		if err == nil {
@@ -530,7 +602,10 @@ func (r *Registry) dispatch(t *sched.Thread, g *Installed, args []int64) (res in
 			if p.NoTxn {
 				cost = 0 // no transaction, no abort path to account
 			}
-			cause := abortCause(err, r.txns.Stats().UndoPanics > undoBefore)
+			if r.txns.Stats().UndoPanics > undoBefore {
+				// A signal only this layer sees: Abort absorbs the panic.
+				cause = txn.CauseUndo
+			}
 			remove = sup.RecordAbort(key, cause, cost) == guard.VerdictExpel
 		}
 	}
@@ -564,19 +639,6 @@ func (r *Registry) harvestGrantAudit(g *Installed, key string) {
 	}
 }
 
-// abortCause buckets an abort reason. Undo panics and the watchdog are
-// signals only this layer can see (the panic is absorbed by Abort, the
-// sentinel lives here); everything else defers to txn.ClassifyAbort.
-func abortCause(err error, undoPanicked bool) txn.AbortCause {
-	if undoPanicked {
-		return txn.CauseUndo
-	}
-	if errors.Is(err, ErrWatchdog) {
-		return txn.CauseWatchdog
-	}
-	return txn.ClassifyAbort(err)
-}
-
 // stub is the wrapper stub of §3.1. In order: begin the transaction,
 // swap the thread's resource account for the graft's, arm the
 // watchdog, make the graft current, run the PreGraft hook, call the
@@ -584,9 +646,10 @@ func abortCause(err error, undoPanicked bool) txn.AbortCause {
 // reverse before the commit or abort. Probation invocations run under
 // a watchdog tightened by the supervisor's policy. A NoTxn point runs
 // the same sequence without the transaction, the account swap and the
-// watchdog.
-func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation bool, args []int64) (int64, error) {
-	p := g.Point
+// watchdog. A failed dispatch's reason is classified here, once, for
+// both the escalation below and the supervisor's ledger.
+func (r *Registry) stub(f *frame, g *Installed, probation bool) (int64, txn.AbortCause, error) {
+	t, p := f.t, g.Point
 	p.stats.GraftedCalls++
 	if r.Faults.CrashArmed() {
 		// A contained kernel panic escaping this dispatch (from commit,
@@ -595,7 +658,7 @@ func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation boo
 		defer func() {
 			if rec := recover(); rec != nil {
 				if cp, ok := crash.IsPanic(rec); ok && cp.Graft == "" {
-					cp.Graft = key
+					cp.Graft = g.key
 				}
 				panic(rec)
 			}
@@ -603,11 +666,10 @@ func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation boo
 	}
 	var result int64
 	body := func(tx *txn.Txn) error {
+		var prevAcct *resource.Account
 		if tx != nil {
 			// The thread's limits are replaced by the graft's (§3.2).
-			prevAcct := ThreadAccount(t)
-			t.SetLocal(localAccount, g.Account)
-			defer t.SetLocal(localAccount, prevAcct)
+			prevAcct = t.SetAccount(g.Account)
 
 			// Forward-progress watchdog (§2.5).
 			wd := p.Watchdog
@@ -622,41 +684,35 @@ func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation boo
 					wd = time.Millisecond
 				}
 			}
-			running := true
-			ev := r.clock.After(wd, func() {
-				if running {
-					r.stats.WatchdogFires++
-					r.emit(trace.WatchdogFire, p.Name, wd.String())
-					t.RequestAbort(fmt.Errorf("%w: %s after %v", ErrWatchdog, p.Name, wd))
-				}
-			})
-			defer func() {
-				running = false
-				r.clock.Cancel(ev)
-			}()
+			f.arm(p, wd)
 		}
-
-		prevThread := g.curThread
-		g.curThread = t
-		defer func() { g.curThread = prevThread }()
-
-		// Shared-buffer grants are per-dispatch: whatever the PreGraft
-		// hook (or a kernel callable) opened is revoked when this
-		// dispatch returns, abort or commit, so a pointer the graft
-		// cached in its heap is dead on the next invocation.
-		defer g.vm.RevokeGrants()
+		prev := g.cur
+		g.cur = f
+		defer func() {
+			// Shared-buffer grants are per-dispatch: whatever the PreGraft
+			// hook (or a kernel callable) opened is revoked when this
+			// dispatch returns, abort or commit, so a pointer the graft
+			// cached in its heap is dead on the next invocation. Then the
+			// rest unwinds in reverse.
+			g.vm.RevokeGrants()
+			g.cur = prev
+			if tx != nil {
+				r.clock.Cancel(f.ev)
+				t.SetAccount(prevAcct)
+			}
+		}()
 
 		if p.PreGraft != nil {
-			if err := p.PreGraft(t, tx, g, args); err != nil {
+			if err := p.PreGraft(t, tx, g, f.args); err != nil {
 				return err
 			}
 		}
-		res, err := g.vm.Call(g.Entry, args...)
+		res, err := g.vm.Call(g.Entry, f.args...)
 		if err != nil {
 			return err
 		}
 		if p.Validate != nil {
-			res, err = p.Validate(t, args, res)
+			res, err = p.Validate(t, f.args, res)
 			if err != nil {
 				p.stats.ValidationFail++
 				return fmt.Errorf("%w: %v", ErrBadResult, err)
@@ -672,9 +728,10 @@ func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation boo
 		err = r.txns.Run(t, body)
 	}
 	if err != nil {
+		cause, compartment := txn.Classify(err, ErrWatchdog)
 		p.stats.Aborts++
 		r.emit(trace.GraftAbort, p.Name, err.Error())
-		if r.EscalateViolations && sfi.IsCompartmentViolation(err) {
+		if r.EscalateViolations && compartment {
 			// The transaction has aborted (the graft's kernel-state
 			// writes are already undone); what escalates is the breach
 			// itself. The classified panic carries the guard key so
@@ -683,15 +740,15 @@ func (r *Registry) stub(t *sched.Thread, g *Installed, key string, probation boo
 			panic(&crash.Panic{
 				Class:  crash.SFIViolation,
 				Site:   crash.SiteDispatch,
-				Graft:  key,
+				Graft:  g.key,
 				Reason: err.Error(),
 			})
 		}
-		return 0, err
+		return 0, cause, err
 	}
 	p.stats.Commits++
 	r.emit(trace.GraftCommit, p.Name, "")
-	return result, nil
+	return result, txn.CauseOther, nil
 }
 
 // regSnap captures the registry's membership state: the point
@@ -742,7 +799,7 @@ func (r *Registry) CrashRestore(snap any) {
 	for g := range r.installed {
 		if !inSnap[g] {
 			g.removed = true
-			g.curThread = nil
+			g.cur = nil
 		}
 	}
 	r.points = make(map[string]*Point, len(s.points))
@@ -752,7 +809,7 @@ func (r *Registry) CrashRestore(snap any) {
 	r.installed = make(map[*Installed]bool, len(s.installed))
 	for _, g := range s.installed {
 		g.removed = false
-		g.curThread = nil
+		g.cur = nil
 		r.installed[g] = true
 	}
 	for p, g := range s.grafted {
@@ -968,7 +1025,9 @@ func (p *Point) Trigger(s *sched.Scheduler, args ...int64) int {
 			if !g.removed {
 				// The wrapper has counted, traced and acted on any failure;
 				// an event has no caller to answer.
-				_, _, _ = p.reg.dispatch(t, g, args)
+				f := p.reg.takeFrame(t, args)
+				_, _, _ = p.reg.dispatch(f, g)
+				p.reg.releaseFrame(f)
 			}
 		})
 	}

@@ -295,22 +295,28 @@ main:
 }
 
 // TestDispatchAllocCeilings pins the heap allocations of one supervised
-// Invoke, committed and aborted, at their measured counts: a wrapper
-// change that allocates more must show up here.
+// Invoke at their measured counts: a committed dispatch and a NoTxn
+// point's allocate nothing, and an aborted one allocates only its
+// abort reason: the trap's *sfi.Violation, the *txn.AbortedError and
+// one string each for the trace line. A wrapper change that allocates
+// more must show up here.
 func TestDispatchAllocCeilings(t *testing.T) {
 	never := guard.Policy{SuspectStreak: 1 << 30, QuarantineStreak: 1 << 30, QuarantinePct: 101}
 	for _, tc := range []struct {
-		name    string
-		src     string
-		ceiling float64
+		name  string
+		src   string
+		noTxn bool
+		want  float64
 	}{
-		{"commit", doubleSrc, 6},
-		{"abort", trapSrc, 16},
+		{"commit", doubleSrc, false, 0},
+		{"notxn", doubleSrc, true, 0},
+		{"abort", trapSrc, false, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv()
 			e.reg.Supervisor = guard.New(e.s.Clock(), nil, never)
 			p := e.reg.RegisterPoint(newFnPoint("p"))
+			p.NoTxn = tc.noTxn
 			img := e.buildSafe(t, tc.src)
 			e.run(t, 1, func(th *sched.Thread, _ *resource.Account) {
 				if _, err := e.reg.Install(th, "p", img, InstallOptions{}); err != nil {
@@ -320,8 +326,8 @@ func TestDispatchAllocCeilings(t *testing.T) {
 				allocs := testing.AllocsPerRun(100, func() { _, _ = p.Invoke(th, 21) })
 				if !p.Grafted() {
 					t.Error("graft removed during the measurement")
-				} else if allocs > tc.ceiling {
-					t.Errorf("%v allocs per supervised Invoke, ceiling %v", allocs, tc.ceiling)
+				} else if allocs != tc.want {
+					t.Errorf("%v allocs per supervised Invoke, want %v", allocs, tc.want)
 				}
 			})
 		})

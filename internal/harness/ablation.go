@@ -272,7 +272,7 @@ func TxnProtectionAblation() (*TxnAblationResult, error) {
 			old := kernelState
 			kernelState = int(args[0])
 			if ctx.Txn != nil {
-				ctx.Txn.PushUndo("mutate", func() { kernelState = old })
+				ctx.Txn.PushUndo("mutate", func(int64) { kernelState = old }, 0)
 				ctx.Txn.AcquireLock(l, lock.Exclusive)
 			} else {
 				l.Acquire(ctx.Thread, lock.Exclusive)

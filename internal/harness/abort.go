@@ -106,7 +106,7 @@ func AbortCostSweep(maxLocks, maxUndos int) ([]SweepPoint, error) {
 					tx.AcquireLock(locks[i], lock.Exclusive)
 				}
 				for i := 0; i < U; i++ {
-					tx.PushUndo("sweep", func() { t.Charge(2 * time.Microsecond) })
+					tx.PushUndo("sweep", func(int64) { t.Charge(2 * time.Microsecond) }, 0)
 				}
 				tx.Abort()
 				meas := k.Txns.LastAbortDuration()

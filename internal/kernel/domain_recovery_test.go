@@ -7,8 +7,11 @@ package kernel_test
 // covers the classic whole-kernel path these tests must not disturb.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -482,6 +485,89 @@ func TestCheckpointPersistRoundTrip(t *testing.T) {
 	}
 	for _, bad := range fs2.Fsck() {
 		t.Errorf("fsck: %s", bad)
+	}
+}
+
+// TestRestoreFromDiskRequiresEveryPayload: a manifest whose fs payload
+// is gone fails the restore with an error that names it, and the
+// restoring kernel keeps its own state: no subsystem imports, so its
+// file system, clock and counters are as they were.
+func TestRestoreFromDiskRequiresEveryPayload(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() (*kernel.Kernel, *vfs.FS) {
+		k := kernel.New(kernel.Config{
+			ZeroTxnCosts:    true,
+			CheckpointEvery: time.Hour,
+			CheckpointDir:   dir,
+		})
+		return k, vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), 256)
+	}
+	k1, fs1 := mk()
+	fs1.Create("db", 8*vfs.BlockSize, graft.Root, false)
+	k1.SpawnProcess("writer", graft.Root, func(p *kernel.Process) {
+		writeByte(t, fs1, p.Thread, "db", 0x5A)
+	})
+	if err := k1.Run(); err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	k1.Checkpoint()
+	if err := k1.Crash.PersistErr(); err != nil {
+		t.Fatalf("persist: %v", err)
+	}
+	manifests, err := filepath.Glob(filepath.Join(dir, "cp-*.gob"))
+	if err != nil || len(manifests) != 1 {
+		t.Fatalf("manifests = %v (err %v), want one", manifests, err)
+	}
+	// The manifest's gob shape, rewritten without the fs payload.
+	var man struct {
+		Seq  int64
+		At   time.Duration
+		Subs map[string][]byte
+	}
+	data, err := os.ReadFile(manifests[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&man); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := man.Subs["fs"]; !ok {
+		t.Fatal("the manifest lacks the fs payload before the rewrite")
+	}
+	delete(man.Subs, "fs")
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifests[0], buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, fs2 := mk()
+	fs2.Create("local", 8*vfs.BlockSize, graft.Root, false)
+	k2.SpawnProcess("writer", graft.Root, func(p *kernel.Process) {
+		writeByte(t, fs2, p.Thread, "local", 0x33)
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	now, txnStats, log := k2.Clock.Now(), k2.Txns.Stats(), k2.Log()
+	if _, err := k2.RestoreFromDisk(); err == nil || !strings.Contains(err.Error(), "fs") {
+		t.Fatalf("RestoreFromDisk = %v, want an error naming the missing fs payload", err)
+	}
+	if k2.Clock.Now() != now || k2.Txns.Stats() != txnStats || !slices.Equal(k2.Log(), log) {
+		t.Error("the failed restore moved the clock, the txn counters or the log")
+	}
+	k2.SpawnProcess("reader", graft.Root, func(p *kernel.Process) {
+		if b := readByte(t, fs2, p.Thread, "local"); b != 0x33 {
+			t.Errorf("local = %#x after the failed restore, want 0x33", b)
+		}
+		if _, err := fs2.Open(p.Thread, "db"); err == nil {
+			t.Error("the failed restore imported the checkpoint's db")
+		}
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("reader: %v", err)
 	}
 }
 

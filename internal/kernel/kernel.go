@@ -584,9 +584,10 @@ func (k *Kernel) registerBaseCallables() {
 		return k.Clock.Cycles(k.Clock.Now()), nil
 	})
 	// vino.kheap_alloc(n): allocate n bytes of kernel heap against the
-	// graft's resource account, with transactional undo. The allocation
-	// is symbolic (the simulator tracks quantity, not placement); it is
-	// the quantity-constrained-resource enforcement path of §3.2.
+	// graft's resource account, with transactional undo, and return the
+	// billed account's kernel heap in use. The allocation is symbolic
+	// (the simulator tracks quantity, not placement); it is the
+	// quantity-constrained-resource enforcement path of §3.2.
 	k.Grafts.RegisterCallable("vino.kheap_alloc", func(ctx *graft.Ctx, args [5]int64) (int64, error) {
 		n := args[0]
 		if n <= 0 {
@@ -597,13 +598,14 @@ func (k *Kernel) registerBaseCallables() {
 			return 0, err
 		}
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("kheap_alloc", func() { acct.Release(resource.KernelHeap, n) })
+			ctx.Txn.PushUndo("kheap_alloc", func(int64) { acct.Release(resource.KernelHeap, n) }, 0)
 		}
-		return acct.Used(resource.KernelHeap), nil
+		return acct.Billed().Used(resource.KernelHeap), nil
 	})
-	// vino.kheap_free(n): return kernel heap. Freeing more than the
-	// billed account has in use is a bad argument (§3.3), so the
-	// release never clamps and the undo restores exactly what it freed.
+	// vino.kheap_free(n): return kernel heap, and return the billed
+	// account's kernel heap still in use. Freeing more than the billed
+	// account has in use is a bad argument (§3.3), so the release never
+	// clamps and the undo restores exactly what it freed.
 	k.Grafts.RegisterCallable("vino.kheap_free", func(ctx *graft.Ctx, args [5]int64) (int64, error) {
 		n := args[0]
 		if n <= 0 {
@@ -618,13 +620,13 @@ func (k *Kernel) registerBaseCallables() {
 		k.Faults.MaybeCrash(crash.SiteResource, "")
 		acct.Release(resource.KernelHeap, n)
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("kheap_free", func() {
+			ctx.Txn.PushUndo("kheap_free", func(int64) {
 				// Best-effort: re-charge what was freed. A failure here
 				// means the limit shrank mid-transaction; usage clamps.
 				_ = acct.Charge(resource.KernelHeap, n)
-			})
+			}, 0)
 		}
-		return acct.Used(resource.KernelHeap), nil
+		return acct.Billed().Used(resource.KernelHeap), nil
 	})
 	// vino.yield(): voluntarily give up the CPU.
 	k.Grafts.RegisterCallable("vino.yield", func(ctx *graft.Ctx, args [5]int64) (int64, error) {
@@ -657,9 +659,9 @@ func (k *Kernel) registerFaultCallables() {
 	// an undo handler cannot wedge the lock manager.
 	k.Grafts.RegisterCallable("fault.poison_undo", func(ctx *graft.Ctx, args [5]int64) (int64, error) {
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("fault.poison", func() {
+			ctx.Txn.PushUndo("fault.poison", func(int64) {
 				panic("fault: poisoned undo handler")
-			})
+			}, 0)
 		}
 		return 0, nil
 	})

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -224,6 +225,59 @@ main:
 		if used := g.Account.Used(resource.KernelHeap); used != 0 {
 			t.Errorf("transfer %d: graft account used = %d after abort, want 0", transfer, used)
 		}
+	}
+}
+
+// TestKheapReturnsBilledUsage: under BillInstaller the kernel-heap
+// callables charge and release the installer's account, and each
+// returns that account's usage, the figure kheap_free checks, not the
+// graft account's own (which stays 0).
+func TestKheapReturnsBilledUsage(t *testing.T) {
+	k := newTestKernel()
+	p := k.Grafts.RegisterPoint(&graft.Point{
+		Name:    "obj.fn",
+		Kind:    graft.Function,
+		Default: func(t *sched.Thread, args []int64) (int64, error) { return -1, nil },
+	})
+	var allocRet, freeRet, installerUsed int64
+	var invokeErr error
+	k.SpawnProcess("app", 7, func(proc *Process) {
+		if err := proc.Account.Charge(resource.KernelHeap, 500); err != nil {
+			t.Error(err)
+			return
+		}
+		g, err := proc.BuildAndInstall("obj.fn", `
+.name billed-heap
+.import vino.kheap_alloc
+.import vino.kheap_free
+.func main
+main:
+    movi r1, 100
+    callk vino.kheap_alloc
+    st [r10+0], r0
+    movi r1, 100
+    callk vino.kheap_free
+    ret
+`, graft.InstallOptions{BillInstaller: true})
+		if err != nil {
+			t.Errorf("install: %v", err)
+			return
+		}
+		freeRet, invokeErr = p.Invoke(proc.Thread)
+		allocRet = int64(binary.LittleEndian.Uint64(g.VM().Heap()))
+		installerUsed = proc.Account.Used(resource.KernelHeap)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if invokeErr != nil {
+		t.Fatalf("Invoke: %v", invokeErr)
+	}
+	if allocRet != 600 || freeRet != 500 {
+		t.Fatalf("kheap_alloc(100) returned %d and kheap_free(100) %d, want 600 and 500", allocRet, freeRet)
+	}
+	if installerUsed != 500 {
+		t.Fatalf("installer holds %d bytes after the commit, want 500", installerUsed)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,7 +135,9 @@ type Class struct {
 	ReleaseCost time.Duration
 }
 
+// hold is one thread's hold on a lock.
 type hold struct {
+	t     *sched.Thread
 	mode  Mode
 	count int // recursive acquisitions
 }
@@ -214,15 +217,14 @@ func (m *Manager) waitForGraph() []WaitEdge {
 	var edges []WaitEdge
 	for _, l := range m.locks {
 		for _, w := range l.waiters {
-			for _, ht := range l.order {
-				h := l.holders[ht]
-				if h == nil || ht == w.req.Thread {
+			for _, h := range l.holders {
+				if h.t == w.req.Thread {
 					continue
 				}
 				if h.mode != Exclusive && w.req.Mode != Exclusive {
 					continue
 				}
-				edges = append(edges, WaitEdge{Holder: ht.Name(), Waiter: w.req.Thread.Name(), Lock: l.name})
+				edges = append(edges, WaitEdge{Holder: h.t.Name(), Waiter: w.req.Thread.Name(), Lock: l.name})
 			}
 		}
 	}
@@ -248,8 +250,7 @@ type Lock struct {
 	name    string
 	class   *Class
 	m       *Manager
-	holders map[*sched.Thread]*hold
-	order   []*sched.Thread // holder order, for deterministic iteration
+	holders []hold // in acquisition order; one entry per holding thread
 	waiters []*waiter
 }
 
@@ -258,7 +259,7 @@ func (m *Manager) NewLock(name string, c *Class) *Lock {
 	if c == nil {
 		panic("lock: nil class")
 	}
-	l := &Lock{name: name, class: c, m: m, holders: make(map[*sched.Thread]*hold)}
+	l := &Lock{name: name, class: c, m: m}
 	m.locks = append(m.locks, l)
 	return l
 }
@@ -288,7 +289,7 @@ func (m *Manager) Idle() bool { return len(m.Outstanding()) == 0 }
 func (m *Manager) Entangled(t *sched.Thread) []string {
 	var out []string
 	for _, l := range m.locks {
-		if l.holders[t] == nil {
+		if l.holder(t) == nil {
 			continue
 		}
 		if len(l.holders) > 1 || len(l.waiters) > 0 {
@@ -326,7 +327,18 @@ func (l *Lock) Name() string { return l.name }
 func (l *Lock) Class() *Class { return l.class }
 
 // HeldBy reports whether t holds the lock in any mode.
-func (l *Lock) HeldBy(t *sched.Thread) bool { return l.holders[t] != nil }
+func (l *Lock) HeldBy(t *sched.Thread) bool { return l.holder(t) != nil }
+
+// holder returns t's hold, or nil. The pointer is valid until the
+// holder list next changes.
+func (l *Lock) holder(t *sched.Thread) *hold {
+	for i := range l.holders {
+		if l.holders[i].t == t {
+			return &l.holders[i]
+		}
+	}
+	return nil
+}
 
 // HolderCount returns the number of distinct holding threads.
 func (l *Lock) HolderCount() int { return len(l.holders) }
@@ -336,11 +348,9 @@ func (l *Lock) WaiterCount() int { return len(l.waiters) }
 
 // holderReqs materialises the holder set for policy calls.
 func (l *Lock) holderReqs() []Request {
-	out := make([]Request, 0, len(l.order))
-	for _, t := range l.order {
-		if h := l.holders[t]; h != nil {
-			out = append(out, Request{Thread: t, Mode: h.mode})
-		}
+	out := make([]Request, 0, len(l.holders))
+	for _, h := range l.holders {
+		out = append(out, Request{Thread: h.t, Mode: h.mode})
 	}
 	return out
 }
@@ -404,15 +414,14 @@ func (l *Lock) removeWaiter(w *waiter) {
 }
 
 func (l *Lock) addHolder(t *sched.Thread, mode Mode) {
-	if h := l.holders[t]; h != nil {
+	if h := l.holder(t); h != nil {
 		h.count++
 		if mode == Exclusive {
 			h.mode = Exclusive
 		}
 		return
 	}
-	l.holders[t] = &hold{mode: mode, count: 1}
-	l.order = append(l.order, t)
+	l.holders = append(l.holders, hold{t: t, mode: mode, count: 1})
 }
 
 // Acquire takes the lock for t in the given mode, blocking under
@@ -429,7 +438,7 @@ func (l *Lock) Acquire(t *sched.Thread, mode Mode) {
 		t.Charge(c)
 	}
 	// Recursive / upgrade handling.
-	if h := l.holders[t]; h != nil {
+	if h := l.holder(t); h != nil {
 		if mode == Shared || h.mode == Exclusive {
 			h.count++
 			l.m.stats.Acquisitions++
@@ -440,7 +449,7 @@ func (l *Lock) Acquire(t *sched.Thread, mode Mode) {
 	}
 	req := Request{Thread: t, Mode: mode}
 	if l.grantableNow(req) {
-		if h := l.holders[t]; h != nil { // completing an upgrade
+		if h := l.holder(t); h != nil { // completing an upgrade
 			h.mode = Exclusive
 			h.count++
 			l.m.stats.Acquisitions++
@@ -474,7 +483,7 @@ func (l *Lock) Acquire(t *sched.Thread, mode Mode) {
 		l.armTimeout(w)
 		t.Block("lock " + l.name) // panics on abort; defer above cleans up
 	}
-	if h := l.holders[t]; h != nil && mode == Exclusive {
+	if h := l.holder(t); h != nil && mode == Exclusive {
 		h.mode = Exclusive
 	}
 	// Counted only now: an acquisition is a grant, so an aborted wait
@@ -485,13 +494,14 @@ func (l *Lock) Acquire(t *sched.Thread, mode Mode) {
 
 // TryAcquire takes the lock only if immediately available.
 func (l *Lock) TryAcquire(t *sched.Thread, mode Mode) bool {
-	if h := l.holders[t]; h != nil && (mode == Shared || h.mode == Exclusive) {
+	h := l.holder(t)
+	if h != nil && (mode == Shared || h.mode == Exclusive) {
 		h.count++
 		l.m.stats.Acquisitions++
 		return true
 	}
 	req := Request{Thread: t, Mode: mode}
-	if l.holders[t] == nil && l.grantableNow(req) {
+	if h == nil && l.grantableNow(req) {
 		l.addHolder(t, mode)
 		l.m.stats.Acquisitions++
 		return true
@@ -535,7 +545,7 @@ func (l *Lock) armTimeout(w *waiter) {
 // only when a contention time-out fires.
 func (m *Manager) holdsAny(t *sched.Thread) bool {
 	for _, l := range m.locks {
-		if l.holders[t] != nil {
+		if l.holder(t) != nil {
 			return true
 		}
 	}
@@ -546,8 +556,9 @@ func (m *Manager) holdsAny(t *sched.Thread) bool {
 // conflicts with the waiter and is executing a transaction.
 func (l *Lock) abortConflictingHolders(w *waiter) {
 	reason := &TimeoutError{LockName: l.name, Class: l.class.Name, Timeout: l.class.Timeout}
-	for _, t := range append([]*sched.Thread(nil), l.order...) {
-		h := l.holders[t]
+	for _, held := range append([]hold(nil), l.holders...) {
+		t := held.t
+		h := l.holder(t)
 		if h == nil || t == w.req.Thread {
 			continue
 		}
@@ -564,8 +575,7 @@ func (l *Lock) abortConflictingHolders(w *waiter) {
 // Release drops one level of t's hold. When the last hold drops, waiting
 // requests are granted per the class policy and their threads woken.
 func (l *Lock) Release(t *sched.Thread) error {
-	h := l.holders[t]
-	if h == nil {
+	if l.holder(t) == nil {
 		return fmt.Errorf("%w: %s by %s", ErrNotHeld, l.name, t.Name())
 	}
 	// Crash site: a panic here strikes after the hold is committed to
@@ -577,17 +587,12 @@ func (l *Lock) Release(t *sched.Thread) error {
 	if c := l.class.ReleaseCost; c > 0 && t.State() == sched.StateRunning && t.Scheduler().Current() == t {
 		t.Charge(c)
 	}
-	h.count--
-	if h.count > 0 {
+	// Found after the charge, whose timer callbacks run first.
+	i := slices.IndexFunc(l.holders, func(h hold) bool { return h.t == t })
+	if l.holders[i].count--; l.holders[i].count > 0 {
 		return nil
 	}
-	delete(l.holders, t)
-	for i, x := range l.order {
-		if x == t {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
+	l.holders = slices.Delete(l.holders, i, i+1)
 	l.grantWaiters()
 	return nil
 }
@@ -595,7 +600,7 @@ func (l *Lock) Release(t *sched.Thread) error {
 // ReleaseAll drops every hold t has on the lock (used by transaction
 // abort, which releases in one sweep).
 func (l *Lock) ReleaseAll(t *sched.Thread) {
-	if h := l.holders[t]; h != nil {
+	if h := l.holder(t); h != nil {
 		h.count = 1
 		_ = l.Release(t)
 	}
@@ -648,8 +653,7 @@ func (m *Manager) CrashRestore(snap any) {
 		m.locks = m.locks[:s.numLocks]
 	}
 	for _, l := range m.locks {
-		l.holders = make(map[*sched.Thread]*hold)
-		l.order = nil
+		l.holders = nil
 		for _, w := range l.waiters {
 			if w.hasTO {
 				m.clock.Cancel(w.timeout)

@@ -127,7 +127,7 @@ func TestUpgradeWhenSoleHolder(t *testing.T) {
 	s.Spawn("t", func(th *sched.Thread) {
 		l.Acquire(th, Shared)
 		l.Acquire(th, Exclusive) // upgrade in place
-		if h := l.holders[th]; h.mode != Exclusive {
+		if h := l.holder(th); h.mode != Exclusive {
 			t.Error("upgrade did not take")
 		}
 	})

@@ -271,7 +271,7 @@ func (n *Net) registerCallables() {
 		prev := c.readPos
 		c.readPos += int(maxLen)
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("net.read", func() { c.readPos = prev })
+			ctx.Txn.PushUndo("net.read", func(int64) { c.readPos = prev }, 0)
 		}
 		return maxLen, nil
 	})
@@ -304,12 +304,12 @@ func (n *Net) registerCallables() {
 		nBytes := int64(len(data))
 		c.billMem(acct, nBytes)
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("net.write", func() {
+			ctx.Txn.PushUndo("net.write", func(int64) {
 				c.out = c.out[:prevLen]
 				n.stats.BytesOut -= nBytes
 				acct.Release(resource.Memory, nBytes)
 				c.billMem(acct, -nBytes)
-			})
+			}, 0)
 		}
 		return int64(len(data)), nil
 	})
@@ -328,7 +328,7 @@ func (n *Net) registerCallables() {
 		// half-finished response, not a resurrected kernel socket.
 		n.releaseSockets(c)
 		if ctx.Txn != nil {
-			ctx.Txn.PushUndo("net.close", func() { c.closed = false })
+			ctx.Txn.PushUndo("net.close", func(int64) { c.closed = false }, 0)
 		}
 		return 0, nil
 	})

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"vino/internal/resource"
 	"vino/internal/simclock"
 )
 
@@ -136,10 +137,14 @@ type Thread struct {
 	abortPending *AbortRequest
 	noAbort      int
 
-	// locals carries per-thread state owned by upper layers (current
-	// transaction, resource account, address space) without creating
-	// package dependencies from sched upward.
-	locals map[string]any
+	// Typed slots for the layers above. uid and account are the
+	// identity and resource account the thread runs under (package
+	// graft gives them meaning); txn is the innermost transaction,
+	// which package txn alone stores and reads (sched cannot name its
+	// type).
+	uid     int
+	account *resource.Account
+	txn     any
 }
 
 // ID returns the thread's identifier.
@@ -166,22 +171,30 @@ func (t *Thread) CPU() int { return t.cpu }
 // Pinned reports whether the thread is wired to its home CPU.
 func (t *Thread) Pinned() bool { return t.pinned }
 
-// SetLocal stores per-thread data for an upper layer under key.
-func (t *Thread) SetLocal(key string, v any) {
-	if t.locals == nil {
-		t.locals = make(map[string]any)
-	}
-	if v == nil {
-		delete(t.locals, key)
-		return
-	}
-	t.locals[key] = v
+// UID returns the user identity the thread runs under: 0, the
+// privileged user, until SetUID is called.
+func (t *Thread) UID() int { return t.uid }
+
+// SetUID sets the user identity the thread runs under.
+func (t *Thread) SetUID(uid int) { t.uid = uid }
+
+// Account returns the resource account the thread's charges go to, or
+// nil for an unaccounted (kernel-internal) thread.
+func (t *Thread) Account() *resource.Account { return t.account }
+
+// SetAccount replaces the thread's resource account and returns the
+// previous one, for the dispatch wrapper's account swap.
+func (t *Thread) SetAccount(a *resource.Account) *resource.Account {
+	prev := t.account
+	t.account = a
+	return prev
 }
 
-// Local retrieves per-thread data stored by SetLocal.
-func (t *Thread) Local(key string) any {
-	return t.locals[key]
-}
+// Txn returns the thread's transaction slot. Package txn owns it.
+func (t *Thread) Txn() any { return t.txn }
+
+// SetTxn sets the thread's transaction slot. Package txn owns it.
+func (t *Thread) SetTxn(tx any) { t.txn = tx }
 
 // Scheduler returns the owning scheduler.
 func (t *Thread) Scheduler() *Scheduler { return t.s }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"vino/internal/resource"
 	"vino/internal/simclock"
 )
 
@@ -342,19 +343,34 @@ func TestPickDelegateIgnoresInvalidChoice(t *testing.T) {
 	}
 }
 
-func TestLocals(t *testing.T) {
+// TestTypedSlots: a fresh thread runs as the privileged user with no
+// account and no transaction, each slot round-trips its value, and the
+// account swap hands back what it replaced.
+func TestTypedSlots(t *testing.T) {
 	s := newTestSched()
 	s.Spawn("t", func(th *Thread) {
-		if th.Local("txn") != nil {
-			t.Error("unset local not nil")
+		if th.UID() != 0 || th.Account() != nil || th.Txn() != nil {
+			t.Errorf("fresh slots = %d, %v, %v; want 0, nil, nil", th.UID(), th.Account(), th.Txn())
 		}
-		th.SetLocal("txn", 42)
-		if th.Local("txn") != 42 {
-			t.Error("local round trip failed")
+		th.SetUID(42)
+		if th.UID() != 42 {
+			t.Errorf("UID = %d, want 42", th.UID())
 		}
-		th.SetLocal("txn", nil)
-		if th.Local("txn") != nil {
-			t.Error("nil SetLocal did not delete")
+		a, b := resource.NewAccount("a"), resource.NewAccount("b")
+		if prev := th.SetAccount(a); prev != nil {
+			t.Errorf("first SetAccount returned %v, want nil", prev)
+		}
+		if prev := th.SetAccount(b); prev != a || th.Account() != b {
+			t.Errorf("swap returned %v with %v current; want a with b", prev, th.Account())
+		}
+		tx := new(int)
+		th.SetTxn(tx)
+		if th.Txn() != tx {
+			t.Error("transaction slot round trip failed")
+		}
+		th.SetTxn(nil)
+		if th.Txn() != nil {
+			t.Error("transaction slot not cleared")
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // KernelFunc is a kernel function exposed to grafts via CALLK. Arguments
@@ -27,8 +28,10 @@ type Violation struct {
 	Compartment bool
 }
 
+// Error builds its text without fmt, so an abort's trace line costs one
+// allocation whatever fmt's buffer pool holds.
 func (v *Violation) Error() string {
-	return fmt.Sprintf("sfi: violation at pc=%d (%s): %s", v.PC, v.Ins, v.Detail)
+	return "sfi: violation at pc=" + strconv.Itoa(v.PC) + " (" + v.Ins + "): " + v.Detail
 }
 
 // IsCompartmentViolation reports whether err is (or wraps) a

@@ -24,17 +24,22 @@ const DefaultHz = 120_000_000
 // system-clock boundaries that occur every 10 ms (§4.5).
 const TickInterval = 10 * time.Millisecond
 
-// EventID names a scheduled event so it can be cancelled.
+// EventID names a scheduled event so it can be cancelled. Its low 32
+// bits index the clock's event struct and its high 32 bits count that
+// struct's uses, so the id of a fired or cancelled event never names
+// the event that reuses its struct.
 type EventID uint64
 
-// Event is a callback scheduled to run at a virtual deadline.
+// event is a callback scheduled to run at a virtual deadline. Structs
+// are recycled: one goes back on the clock's free list once its
+// callback has returned or it is cancelled.
 type event struct {
 	id       EventID
 	deadline time.Duration // virtual time since boot
 	cpu      int           // CPU that scheduled the event
 	seq      uint64        // FIFO order among equal deadlines
 	fn       func()
-	index    int // heap index, -1 once popped or cancelled
+	index    int // heap index, -1 when not pending
 }
 
 type eventHeap []*event
@@ -76,9 +81,9 @@ type Clock struct {
 	now     time.Duration
 	hz      int64
 	events  eventHeap
-	nextID  EventID
+	slots   []*event // every event struct, indexed by the low half of its id
+	free    []*event // structs not pending and not firing
 	nextSeq uint64
-	byID    map[EventID]*event
 	cpu     int    // CPU currently executing (stamped onto new events)
 	firing  *event // event whose callback is running, nil outside RunDue
 }
@@ -111,7 +116,7 @@ func New(hz int64) *Clock {
 	if hz <= 0 {
 		hz = DefaultHz
 	}
-	return &Clock{hz: hz, byID: make(map[EventID]*event)}
+	return &Clock{hz: hz}
 }
 
 // Now returns the current virtual time since boot.
@@ -192,11 +197,18 @@ func (c *Clock) At(t time.Duration, fn func()) EventID {
 	if t < c.now {
 		t = c.now
 	}
-	c.nextID++
+	var e *event
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free = c.free[:n-1]
+		e.id += 1 << 32
+	} else {
+		e = &event{id: 1<<32 | EventID(len(c.slots))}
+		c.slots = append(c.slots, e)
+	}
 	c.nextSeq++
-	e := &event{id: c.nextID, deadline: t, cpu: c.cpu, seq: c.nextSeq, fn: fn}
+	e.deadline, e.cpu, e.seq, e.fn = t, c.cpu, c.nextSeq, fn
 	heap.Push(&c.events, e)
-	c.byID[e.id] = e
 	return e.id
 }
 
@@ -223,15 +235,24 @@ func (c *Clock) AtNextTick(d time.Duration, fn func()) EventID {
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false if already fired or cancelled).
 func (c *Clock) Cancel(id EventID) bool {
-	e, ok := c.byID[id]
-	if !ok {
+	slot := uint64(id) & (1<<32 - 1)
+	if slot >= uint64(len(c.slots)) {
 		return false
 	}
-	delete(c.byID, id)
-	if e.index >= 0 {
-		heap.Remove(&c.events, e.index)
+	e := c.slots[slot]
+	if e.id != id || e.index < 0 {
+		return false
 	}
+	heap.Remove(&c.events, e.index)
+	c.release(e)
 	return true
+}
+
+// release puts a struct that is neither pending nor firing back on the
+// free list.
+func (c *Clock) release(e *event) {
+	e.fn = nil
+	c.free = append(c.free, e)
 }
 
 // NextDeadline returns the deadline of the earliest pending event, and
@@ -250,12 +271,14 @@ func (c *Clock) RunDue() int {
 	n := 0
 	for len(c.events) > 0 && c.events[0].deadline <= c.now {
 		e := heap.Pop(&c.events).(*event)
-		delete(c.byID, e.id)
 		n++
 		prev := c.firing
 		c.firing = e
 		e.fn()
 		c.firing = prev
+		// Only now may the struct be reused: EventTime reads it while
+		// the callback runs.
+		c.release(e)
 	}
 	return n
 }
@@ -280,10 +303,10 @@ func (c *Clock) Pending() int { return len(c.events) }
 
 // Reset discards every pending event and repositions the clock at t —
 // crash recovery's reboot: timers armed by threads that died with the
-// crash must not fire into the restored image. The id and sequence
-// counters are NOT reset, so stamps taken after a recovery still sort
-// after stamps taken before it (the global event order stays a total
-// order across the crash).
+// crash must not fire into the restored image, and their ids stay dead.
+// The sequence counter is NOT reset, so stamps taken after a recovery
+// still sort after stamps taken before it (the global event order stays
+// a total order across the crash).
 func (c *Clock) Reset(t time.Duration) {
 	if t < 0 {
 		panic(fmt.Sprintf("simclock: negative time %v", t))
@@ -291,7 +314,11 @@ func (c *Clock) Reset(t time.Duration) {
 	if c.firing != nil {
 		panic("simclock: Reset during event callback")
 	}
-	c.events = nil
-	c.byID = make(map[EventID]*event)
+	for _, e := range c.events {
+		e.index = -1
+		c.release(e)
+	}
+	clear(c.events)
+	c.events = c.events[:0]
 	c.now = t
 }

@@ -264,3 +264,83 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 		c.RunDue()
 	}
 }
+
+// TestReusedEventKeepsOldIDDead: an event that fired, and one that was
+// cancelled, each hand their struct to a later After. Cancelling the
+// old id is still a no-op, and the new event still fires.
+func TestReusedEventKeepsOldIDDead(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		finish func(c *Clock, id EventID)
+	}{
+		{"fired", func(c *Clock, id EventID) { c.Advance(time.Millisecond); c.RunDue() }},
+		{"cancelled", func(c *Clock, id EventID) { c.Cancel(id) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(0)
+			old := c.After(time.Millisecond, func() {})
+			tc.finish(c, old)
+			fired := false
+			id := c.After(time.Millisecond, func() { fired = true })
+			if id == old {
+				t.Fatalf("reused struct kept its id %#x", old)
+			}
+			if c.Cancel(old) {
+				t.Fatal("Cancel of the finished event's id removed its successor")
+			}
+			if c.Pending() != 1 {
+				t.Fatalf("%d pending, want 1", c.Pending())
+			}
+			c.Advance(time.Millisecond)
+			c.RunDue()
+			if !fired {
+				t.Fatal("the event that reused the struct did not fire")
+			}
+			if c.Cancel(id) {
+				t.Fatal("Cancel of a fired event reported it pending")
+			}
+		})
+	}
+}
+
+// TestFiringEventNotReusedByItsCallback: a callback that arms a new
+// event still reads its own deadline from EventTime, because the
+// firing struct is reused only after the callback returns.
+func TestFiringEventNotReusedByItsCallback(t *testing.T) {
+	c := New(0)
+	var during time.Duration
+	c.At(10*time.Millisecond, func() {
+		c.After(time.Hour, func() {})
+		during = c.EventTime()
+	})
+	c.Advance(15 * time.Millisecond)
+	c.RunDue()
+	if during != 10*time.Millisecond {
+		t.Fatalf("EventTime after arming inside the callback = %v, want 10ms", during)
+	}
+}
+
+// TestArmConsumesOneSequence: every After takes one number from the
+// counter stamps share, as it did before structs were recycled, so
+// wait-queue order keyed by stamps is unchanged.
+func TestArmConsumesOneSequence(t *testing.T) {
+	c := New(0)
+	fn := func() {}
+	c.Cancel(c.After(time.Second, fn)) // warm the free list
+	s1 := c.Stamp()
+	c.Cancel(c.After(time.Second, fn))
+	if s2 := c.Stamp(); s2.Seq != s1.Seq+2 {
+		t.Fatalf("stamps %d then %d around one After, want a gap of 2", s1.Seq, s2.Seq)
+	}
+}
+
+// TestAfterCancelAllocatesNothing pins the watchdog's arm and cancel
+// at zero heap allocations once the clock has a free struct.
+func TestAfterCancelAllocatesNothing(t *testing.T) {
+	c := New(0)
+	fn := func() {}
+	c.After(time.Hour, fn) // a pending event the heap must sift past
+	if n := testing.AllocsPerRun(100, func() { c.Cancel(c.After(time.Second, fn)) }); n != 0 {
+		t.Fatalf("%v allocations per After+Cancel, want 0", n)
+	}
+}

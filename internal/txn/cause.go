@@ -78,20 +78,53 @@ func ClassifyPanicCause(class crash.Class) AbortCause {
 // walking the error chain. Two causes cannot be recognised from the
 // chain alone: the watchdog sentinel lives in the graft layer, and undo
 // panics are absorbed by Abort rather than surfaced as errors — callers
-// that can see those signals classify them before falling back here.
+// that can see those signals classify them before falling back here
+// (Classify takes the sentinel).
 func ClassifyAbort(err error) AbortCause {
-	var lt *lock.TimeoutError
-	if errors.As(err, &lt) {
-		return CauseLockTimeout
+	cause, _ := Classify(err, nil)
+	return cause
+}
+
+// Classify walks err's chain once, without allocating, and returns
+// ClassifyAbort's bucket and whether the chain's first *sfi.Violation
+// is a compartment region-check trap. A non-nil watchdog is a sentinel
+// made by errors.New whose presence anywhere in the chain buckets the
+// abort as CauseWatchdog ahead of every other cause: the graft layer
+// owns the watchdog and classifies with this one walk. The chain is
+// followed through single-error Unwrap methods; nothing on the abort
+// path wraps with errors.Join.
+func Classify(err, watchdog error) (cause AbortCause, compartment bool) {
+	var wd, lockTimeout, limit, trap bool
+	var viol *sfi.Violation
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		switch v := e.(type) {
+		case *lock.TimeoutError:
+			lockTimeout = true
+		case *resource.LimitError:
+			limit = true
+		case *sfi.Violation:
+			trap = true
+			if viol == nil {
+				viol = v
+			}
+		case *sfi.CrashError:
+			trap = true
+		default:
+			// Both sentinels are pointers, so == cannot panic.
+			trap = trap || e == sfi.ErrCycleLimit
+			wd = wd || (watchdog != nil && e == watchdog)
+		}
 	}
-	var rl *resource.LimitError
-	if errors.As(err, &rl) {
-		return CauseResourceLimit
+	compartment = viol != nil && viol.Compartment
+	switch {
+	case wd:
+		return CauseWatchdog, compartment
+	case lockTimeout:
+		return CauseLockTimeout, compartment
+	case limit:
+		return CauseResourceLimit, compartment
+	case trap:
+		return CauseSFITrap, compartment
 	}
-	var sv *sfi.Violation
-	var sc *sfi.CrashError
-	if errors.As(err, &sv) || errors.As(err, &sc) || errors.Is(err, sfi.ErrCycleLimit) {
-		return CauseSFITrap
-	}
-	return CauseOther
+	return CauseOther, compartment
 }

@@ -52,7 +52,7 @@ func TestCrashMidUndoLeavesPartialStack(t *testing.T) {
 		tx.AcquireLock(l, lock.Exclusive)
 		for _, name := range []string{"a", "b", "c"} {
 			name := name
-			tx.PushUndo(name, func() { undone = append(undone, name) })
+			tx.PushUndo(name, func(int64) { undone = append(undone, name) }, 0)
 		}
 		tx.Abort()
 	})
@@ -79,7 +79,7 @@ func TestCrashAtAbortEntryKeepsLocksHeld(t *testing.T) {
 	s.Spawn("test", func(th *sched.Thread) {
 		tx := tm.Begin(th)
 		tx.AcquireLock(l, lock.Exclusive)
-		tx.PushUndo("a", func() { undone = true })
+		tx.PushUndo("a", func(int64) { undone = true }, 0)
 		tx.Abort()
 	})
 	wantPanic(t, s, crash.AbortCorruption)
@@ -119,10 +119,10 @@ func TestCrashMidUndoOfMergedNestedTxn(t *testing.T) {
 	var undone []string
 	s.Spawn("test", func(th *sched.Thread) {
 		parent := tm.Begin(th)
-		parent.PushUndo("a", func() { undone = append(undone, "a") })
+		parent.PushUndo("a", func(int64) { undone = append(undone, "a") }, 0)
 		child := tm.Begin(th)
-		child.PushUndo("b", func() { undone = append(undone, "b") })
-		child.PushUndo("c", func() { undone = append(undone, "c") })
+		child.PushUndo("b", func(int64) { undone = append(undone, "b") }, 0)
+		child.PushUndo("c", func(int64) { undone = append(undone, "c") }, 0)
 		child.Commit()
 		parent.Abort()
 	})
@@ -145,11 +145,11 @@ func TestCrashInReentrantAbort(t *testing.T) {
 	s.Spawn("test", func(th *sched.Thread) {
 		tx := tm.Begin(th)
 		tx.AcquireLock(l, lock.Exclusive)
-		tx.PushUndo("reenter", func() {
+		tx.PushUndo("reenter", func(int64) {
 			inner := tm.Begin(th)
-			inner.PushUndo("inner", func() { innerUndone = true })
+			inner.PushUndo("inner", func(int64) { innerUndone = true }, 0)
 			inner.Abort() // second abort-site hit: kernel panic
-		})
+		}, 0)
 		tx.Abort() // first abort-site hit: survives
 	})
 	wantPanic(t, s, crash.AbortCorruption)

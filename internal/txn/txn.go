@@ -84,10 +84,13 @@ func (e *AbortedError) Error() string { return "txn: aborted: " + e.Reason.Error
 func (e *AbortedError) Unwrap() error { return e.Reason }
 
 // Undo is one entry on the undo call stack: the inverse of an accessor
-// call, with a diagnostic name.
+// call, with a diagnostic name. Fn runs with Arg, so an accessor that
+// undoes many like changes (one queued block each) binds Fn once per
+// object and pushes each change as data, with no closure per record.
 type Undo struct {
 	Name string
-	Fn   func()
+	Fn   func(arg int64)
+	Arg  int64
 }
 
 // Stats counts transaction events.
@@ -135,6 +138,9 @@ type Manager struct {
 	Faults    *fault.Injector
 	stats     Stats
 	lastAbort time.Duration
+	// free holds finished transactions for Begin to reuse, their slices
+	// emptied but keeping their capacity (see Run).
+	free []*Txn
 }
 
 // crashPoint consults the crash plane at one transaction-processing
@@ -209,12 +215,10 @@ func (m *Manager) CrashImport(data []byte) error {
 	return nil
 }
 
-const localKey = "txn.current"
-
 // Current returns the innermost active transaction associated with the
-// thread, or nil.
+// thread, or nil. The thread's transaction slot is this package's.
 func (m *Manager) Current(t *sched.Thread) *Txn {
-	tx, _ := t.Local(localKey).(*Txn)
+	tx, _ := t.Txn().(*Txn)
 	return tx
 }
 
@@ -241,7 +245,14 @@ type Txn struct {
 // begin cost is charged to the thread.
 func (m *Manager) Begin(t *sched.Thread) *Txn {
 	parent := m.Current(t)
-	tx := &Txn{m: m, thread: t, parent: parent, state: Active}
+	var tx *Txn
+	if n := len(m.free); n > 0 {
+		tx = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		tx = &Txn{m: m}
+	}
+	tx.thread, tx.parent, tx.state, tx.depth = t, parent, Active, 0
 	if parent != nil {
 		tx.depth = parent.depth + 1
 	}
@@ -249,7 +260,7 @@ func (m *Manager) Begin(t *sched.Thread) *Txn {
 		m.stats.NestedMax = tx.depth + 1
 	}
 	m.stats.Begins++
-	t.SetLocal(localKey, tx)
+	t.SetTxn(tx)
 	if c := m.Costs.Begin; c > 0 {
 		t.Charge(c)
 	}
@@ -275,14 +286,14 @@ func (tx *Txn) UndoDepth() int { return len(tx.undo) }
 // transaction (not counting the parent's).
 func (tx *Txn) LockCount() int { return len(tx.locks) }
 
-// PushUndo records the inverse of an accessor-function call. Accessor
-// functions that mutate permanent kernel state call this whenever a
-// transaction is associated with the running thread.
-func (tx *Txn) PushUndo(name string, fn func()) {
+// PushUndo records the inverse of an accessor-function call: abort runs
+// fn(arg). Accessor functions that mutate permanent kernel state call
+// this whenever a transaction is associated with the running thread.
+func (tx *Txn) PushUndo(name string, fn func(arg int64), arg int64) {
 	if tx.state != Active {
 		panic(fmt.Sprintf("txn: PushUndo(%s) on %s transaction", name, tx.state))
 	}
-	tx.undo = append(tx.undo, Undo{Name: name, Fn: fn})
+	tx.undo = append(tx.undo, Undo{Name: name, Fn: fn, Arg: arg})
 	if c := tx.m.Costs.PerUndoPush; c > 0 && tx.thread.Scheduler().Current() == tx.thread {
 		tx.thread.Charge(c)
 	}
@@ -339,22 +350,37 @@ func (tx *Txn) Commit() {
 	}
 	tx.m.stats.Commits++
 	tx.state = Committed
-	tx.m.setCurrent(tx.thread, tx.parent)
+	tx.thread.SetTxn(tx.parent)
 	if tx.parent != nil {
 		// Nested: merge, keep locks held, undo stays live in the parent,
 		// deferred actions wait for the top-level commit.
 		tx.parent.undo = append(tx.parent.undo, tx.undo...)
 		tx.parent.locks = append(tx.parent.locks, tx.locks...)
 		tx.parent.onCommit = append(tx.parent.onCommit, tx.onCommit...)
-		tx.undo, tx.locks, tx.onCommit = nil, nil, nil
+		tx.empty()
 		return
 	}
 	tx.releaseLocks()
-	tx.undo = nil
+	tx.undo = emptied(tx.undo)
 	for _, fn := range tx.onCommit {
 		fn()
 	}
-	tx.onCommit = nil
+	tx.onCommit = emptied(tx.onCommit)
+}
+
+// empty drops every undo record, lock registration and deferred action,
+// keeping the slices' capacity for the transaction's next use.
+func (tx *Txn) empty() {
+	tx.undo = emptied(tx.undo)
+	tx.locks = emptied(tx.locks)
+	tx.onCommit = emptied(tx.onCommit)
+}
+
+// emptied zeroes s, so the garbage collector can take what its entries
+// held, and returns it with length 0 and its capacity.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
 }
 
 // Abort undoes everything the transaction did: the undo call stack runs
@@ -389,7 +415,7 @@ func (tx *Txn) Abort() {
 	}
 	tx.m.stats.Aborts++
 	tx.state = Aborted
-	tx.m.setCurrent(t, tx.parent)
+	t.SetTxn(tx.parent)
 	var rekill any
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		tx.m.stats.UndosRun++
@@ -402,8 +428,8 @@ func (tx *Txn) Abort() {
 			break
 		}
 	}
-	tx.undo = nil
-	tx.onCommit = nil // deferred deletes die with the transaction
+	tx.undo = emptied(tx.undo)
+	tx.onCommit = emptied(tx.onCommit) // deferred deletes die with the transaction
 	if rekill != nil {
 		panic(rekill) // deferred releaseLocks still runs first
 	}
@@ -429,7 +455,7 @@ func (tx *Txn) runUndo(u Undo) (kill any) {
 			tx.m.stats.UndoPanics++
 		}
 	}()
-	u.Fn()
+	u.Fn(u.Arg)
 	return nil
 }
 
@@ -442,7 +468,7 @@ func (tx *Txn) releaseLocks() {
 		tx.m.stats.LocksFreed++
 		_ = l.Release(tx.thread)
 	}
-	tx.locks = nil
+	tx.locks = emptied(tx.locks)
 }
 
 // AbortOrphan rolls back the chain of transactions left Active on a
@@ -472,24 +498,14 @@ func (m *Manager) AbortOrphan(t *sched.Thread) int {
 			// recovery — so whatever runUndo hands back is dropped.
 			_ = tx.runUndo(tx.undo[i])
 		}
-		tx.undo = nil
-		tx.onCommit = nil
 		for i := len(tx.locks) - 1; i >= 0; i-- {
 			m.stats.LocksFreed++
 			_ = tx.locks[i].Release(t)
 		}
-		tx.locks = nil
+		tx.empty()
 	}
-	t.SetLocal(localKey, nil)
+	t.SetTxn(nil)
 	return n
-}
-
-func (m *Manager) setCurrent(t *sched.Thread, tx *Txn) {
-	if tx == nil {
-		t.SetLocal(localKey, nil)
-		return
-	}
-	t.SetLocal(localKey, tx)
 }
 
 // Run executes fn inside a fresh transaction on t and is the core of the
@@ -500,8 +516,18 @@ func (m *Manager) setCurrent(t *sched.Thread, tx *Txn) {
 //
 // Run recovers graft panics but re-panics kill signals so thread
 // destruction still works.
+//
+// The transaction is recycled when Run returns, so fn must not keep it.
+// Only a normal return recycles: a transaction that a kill or a kernel
+// panic unwinds past stays on its dead thread's chain for AbortOrphan
+// and is left to the garbage collector.
 func (m *Manager) Run(t *sched.Thread, fn func(tx *Txn) error) error {
-	return execute(t, m.Begin(t), fn)
+	tx := m.Begin(t)
+	err := execute(t, tx, fn)
+	tx.empty() // what a commit interrupted by an abort request left
+	tx.thread, tx.parent = nil, nil
+	m.free = append(m.free, tx)
+	return err
 }
 
 // RunUnprotected is Run without the transaction: fn receives a nil

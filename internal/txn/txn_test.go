@@ -37,7 +37,7 @@ func TestCommitKeepsChanges(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		tx := tm.Begin(th)
 		x = 1
-		tx.PushUndo("x=0", func() { x = 0 })
+		tx.PushUndo("x=0", func(int64) { x = 0 }, 0)
 		tx.Commit()
 	})
 	if x != 1 {
@@ -53,9 +53,9 @@ func TestAbortRunsUndoLIFO(t *testing.T) {
 	var undone []string
 	run(t, s, func(th *sched.Thread) {
 		tx := tm.Begin(th)
-		tx.PushUndo("a", func() { undone = append(undone, "a") })
-		tx.PushUndo("b", func() { undone = append(undone, "b") })
-		tx.PushUndo("c", func() { undone = append(undone, "c") })
+		tx.PushUndo("a", func(int64) { undone = append(undone, "a") }, 0)
+		tx.PushUndo("b", func(int64) { undone = append(undone, "b") }, 0)
+		tx.PushUndo("c", func(int64) { undone = append(undone, "c") }, 0)
 		tx.Abort()
 	})
 	want := []string{"c", "b", "a"}
@@ -123,10 +123,10 @@ func TestNestedCommitMergesIntoParent(t *testing.T) {
 	var undone []string
 	run(t, s, func(th *sched.Thread) {
 		outer := tm.Begin(th)
-		outer.PushUndo("outer", func() { undone = append(undone, "outer") })
+		outer.PushUndo("outer", func(int64) { undone = append(undone, "outer") }, 0)
 
 		inner := tm.Begin(th)
-		inner.PushUndo("inner", func() { undone = append(undone, "inner") })
+		inner.PushUndo("inner", func(int64) { undone = append(undone, "inner") }, 0)
 		inner.AcquireLock(l, lock.Exclusive)
 		inner.Commit()
 
@@ -155,11 +155,11 @@ func TestNestedAbortSparesParent(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		outer := tm.Begin(th)
 		x = 1
-		outer.PushUndo("x", func() { x = 0 })
+		outer.PushUndo("x", func(int64) { x = 0 }, 0)
 
 		inner := tm.Begin(th)
 		y = 1
-		inner.PushUndo("y", func() { y = 0 })
+		inner.PushUndo("y", func(int64) { y = 0 }, 0)
 		inner.Abort()
 
 		if tm.Current(th) != outer {
@@ -181,7 +181,7 @@ func TestRunCommitsOnSuccess(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		err := tm.Run(th, func(tx *Txn) error {
 			x = 1
-			tx.PushUndo("x", func() { x = 0 })
+			tx.PushUndo("x", func(int64) { x = 0 }, 0)
 			return nil
 		})
 		if err != nil {
@@ -200,7 +200,7 @@ func TestRunAbortsOnError(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		err := tm.Run(th, func(tx *Txn) error {
 			x = 1
-			tx.PushUndo("x", func() { x = 0 })
+			tx.PushUndo("x", func(int64) { x = 0 }, 0)
 			return boom
 		})
 		var ae *AbortedError
@@ -219,7 +219,7 @@ func TestRunAbortsOnGraftPanic(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		err := tm.Run(th, func(tx *Txn) error {
 			x = 1
-			tx.PushUndo("x", func() { x = 0 })
+			tx.PushUndo("x", func(int64) { x = 0 }, 0)
 			panic("sfi violation")
 		})
 		var ae *AbortedError
@@ -246,7 +246,7 @@ func TestLockTimeoutAbortsTransaction(t *testing.T) {
 		hogErr = tm.Run(th, func(tx *Txn) error {
 			tx.AcquireLock(l, lock.Exclusive)
 			x = 1
-			tx.PushUndo("x", func() { x = 0 })
+			tx.PushUndo("x", func(int64) { x = 0 }, 0)
 			for { // while(1)
 				th.Charge(time.Millisecond)
 			}
@@ -285,11 +285,11 @@ func TestAbortCleanupImmuneToFurtherTimeouts(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		err := tm.Run(th, func(tx *Txn) error {
 			for i := 0; i < 5; i++ {
-				tx.PushUndo("n", func() {
+				tx.PushUndo("n", func(int64) {
 					// A second abort request lands mid-cleanup.
 					th.RequestAbort(errors.New("second timeout"))
 					undone++
-				})
+				}, 0)
 			}
 			return errors.New("fail")
 		})
@@ -309,7 +309,7 @@ func TestCommitHonoursPendingAbort(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		err := tm.Run(th, func(tx *Txn) error {
 			x = 1
-			tx.PushUndo("x", func() { x = 0 })
+			tx.PushUndo("x", func(int64) { x = 0 }, 0)
 			// The abort request arrives after the graft's last charge
 			// point but before commit.
 			th.RequestAbort(reason)
@@ -448,7 +448,7 @@ func TestPropertyAbortRestoresState(t *testing.T) {
 					k := int(op) % 8
 					old := state[k]
 					state[k] = old + 1
-					cur.PushUndo("set", func() { state[k] = old })
+					cur.PushUndo("set", func(int64) { state[k] = old }, 0)
 				case 1: // nest
 					if len(stack) < 5 {
 						stack = append(stack, tm.Begin(th))
@@ -462,7 +462,7 @@ func TestPropertyAbortRestoresState(t *testing.T) {
 					k := int(op/4) % 8
 					old := state[k]
 					state[k] = -old
-					cur.PushUndo("neg", func() { state[k] = old })
+					cur.PushUndo("neg", func(int64) { state[k] = old }, 0)
 				}
 			}
 			// Abort everything inner-to-outer.
@@ -515,7 +515,7 @@ func BenchmarkBeginAbortWithUndo(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tx := tm.Begin(th)
 			for j := 0; j < 4; j++ {
-				tx.PushUndo("x", func() { x = 0 })
+				tx.PushUndo("x", func(int64) { x = 0 }, 0)
 			}
 			tx.Abort()
 		}

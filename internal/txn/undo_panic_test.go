@@ -23,8 +23,8 @@ func TestAbortReleasesLocksDespiteUndoPanic(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		tx := tm.Begin(th)
 		tx.AcquireLock(l, lock.Exclusive)
-		tx.PushUndo("after-poison", func() { ranAfter = true })
-		tx.PushUndo("poison", func() { panic("undo handler fault") })
+		tx.PushUndo("after-poison", func(int64) { ranAfter = true }, 0)
+		tx.PushUndo("poison", func(int64) { panic("undo handler fault") }, 0)
 		tx.Abort()
 		if l.HeldBy(th) {
 			t.Error("lock still held after abort with panicking undo")
@@ -65,8 +65,8 @@ func TestAbortMultiplePoisonedUndos(t *testing.T) {
 			tx.AcquireLock(l, lock.Exclusive)
 		}
 		for i := 0; i < 3; i++ {
-			tx.PushUndo("ok", func() { healthy++ })
-			tx.PushUndo("poison", func() { panic("boom") })
+			tx.PushUndo("ok", func(int64) { healthy++ }, 0)
+			tx.PushUndo("poison", func(int64) { panic("boom") }, 0)
 		}
 		tx.Abort()
 	})
@@ -91,7 +91,7 @@ func TestRunSurvivesPoisonedUndo(t *testing.T) {
 	run(t, s, func(th *sched.Thread) {
 		err := tm.Run(th, func(tx *Txn) error {
 			tx.AcquireLock(l, lock.Exclusive)
-			tx.PushUndo("poison", func() { panic("undo fault") })
+			tx.PushUndo("poison", func(int64) { panic("undo fault") }, 0)
 			return errForcedAbort
 		})
 		if err == nil {
